@@ -1,6 +1,6 @@
 //! `knnshap value` — compute per-point values, optionally price them.
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use crate::commands::{load_pair, parse_method, parse_weight};
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
@@ -36,8 +36,17 @@ const ALLOWED: &[&str] = &[
 
 pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
-    let (train, test) = load_pair(args)?;
+    // Refused before any dataset is read: K = 0 has no neighbors to value.
     let k = args.usize_or("k", 1)?;
+    if k == 0 {
+        return Err(ArgError::BadValue {
+            key: "k".into(),
+            value: "0".into(),
+            expected: "a positive integer",
+        }
+        .into());
+    }
+    let (train, test) = load_pair(args)?;
     let method = parse_method(args)?;
     let weight = parse_weight(args)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;

@@ -267,3 +267,26 @@ fn sharded_value_round_trip_is_byte_identical() {
         "shard/merge CSV must match unsharded CSV byte for byte"
     );
 }
+
+#[test]
+fn value_refuses_k_zero_before_loading_data() {
+    // The data paths do not exist: the refusal must come first, as an
+    // argument error with exit 1 — not a panic (exit 101) and not an I/O error.
+    let missing = temp_path("k0_missing.csv");
+    for method in ["exact", "mc-improved"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_knnshap"))
+            .args(["value", "--train", missing.to_str().unwrap()])
+            .args(["--test", missing.to_str().unwrap()])
+            .args(["--k", "0", "--method", method])
+            .output()
+            .expect("spawn knnshap");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{method}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some("error: --k 0: expected a positive integer"),
+            "{method}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{method}: {stderr}");
+    }
+}

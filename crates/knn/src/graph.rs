@@ -38,7 +38,7 @@
 //! families × shard counts × thread counts.
 
 use crate::block::blocked_squared_l2;
-use crate::neighbors::{cmp_dist_idx, Neighbor};
+use crate::neighbors::{pack, rank_nearest, Neighbor};
 use knnshap_datasets::Features;
 use knnshap_numerics::fingerprint::Fingerprint;
 
@@ -179,24 +179,16 @@ impl KnnGraph {
     /// Build the graph with the blocked kernel ([`blocked_squared_l2`]) and a
     /// per-row `(distance, index)` sort.
     ///
-    /// The comparator is a total order (ties broken by index), so any correct
-    /// sort of the bitwise-identical distance rows reproduces exactly the
-    /// ranking of [`argsort_by_distance`](crate::neighbors::argsort_by_distance):
-    /// the result is bitwise-independent of tiles and `threads`.
+    /// The rows are ranked by the same packed-key sort as
+    /// [`argsort_by_distance`](crate::neighbors::argsort_by_distance), a total
+    /// order (ties broken by index), so the bitwise-identical distance rows
+    /// reproduce exactly its ranking: the result is bitwise-independent of
+    /// tiles and `threads`.
     pub fn build(train: &Features, test: &Features, threads: usize) -> KnnGraph {
         assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
         let rows = blocked_squared_l2(train, test, threads);
         let lists: Vec<Vec<Neighbor>> = knnshap_parallel::par_map(rows.len(), threads, |j| {
-            let mut list: Vec<Neighbor> = rows[j]
-                .iter()
-                .enumerate()
-                .map(|(i, &dist)| Neighbor {
-                    index: i as u32,
-                    dist,
-                })
-                .collect();
-            list.sort_unstable_by(cmp_dist_idx);
-            list
+            rank_nearest(rows[j].iter().copied(), usize::MAX)
         });
         KnnGraph {
             dim: train.dim() as u32,
@@ -352,13 +344,12 @@ impl KnnGraph {
                     return Err(GraphError::NotPermutation { row });
                 }
                 seen[index as usize] = true;
-                let n = Neighbor { index, dist };
                 if let Some(prev) = list.last() {
-                    if !cmp_dist_idx(prev, &n).is_lt() {
+                    if pack(prev.dist, prev.index) >= pack(dist, index) {
                         return Err(GraphError::NotAscending { row, pos });
                     }
                 }
-                list.push(n);
+                list.push(Neighbor { index, dist });
             }
             lists.push(list);
         }

@@ -13,17 +13,52 @@
 //!
 //! Batched variants fan queries out on the `knnshap_parallel` work-stealing
 //! pool; per-test-point valuation is embarrassingly parallel.
+//!
+//! ### Ordering contract
+//!
+//! Every ranking in the workspace is ascending `(distance, index)`: ties in
+//! distance go to the lower training index, and `-0.0 == +0.0`. The sorting
+//! paths ([`argsort_by_distance`], [`partial_k_nearest`] and
+//! [`KnnGraph::build`](crate::graph::KnnGraph::build)) realise that order
+//! with one packed `u64` key per row, `ordered(dist) << 32 | index`, and a
+//! plain integer sort. `ordered` is the sign-aware float→`u32` map (flip
+//! every bit of a negative float, set the sign bit of a non-negative one),
+//! which is monotone over all non-NaN floats — Cosine's slightly negative
+//! distances, subnormals and `±inf` included. `-0.0` is canonicalised to
+//! `+0.0` before mapping so the index breaks that tie, and a NaN distance
+//! panics with `"NaN distance"`. Because the key order equals the
+//! comparator order and the keys are unique, the ranking is the one
+//! `sort_unstable_by(cmp_dist_idx)` produces, bit for bit. Unpacking
+//! inverts the map, so every returned distance has its original bits —
+//! except `-0.0`, which comes back as `+0.0`. No metric produces `-0.0`:
+//! squared L2 and L2 sum squares from a `+0.0` start, and Cosine's
+//! `1 − c` is `+0.0` when it is zero (an IEEE difference of equal finite
+//! values is `+0.0` under round-to-nearest).
+//!
+//! The comparator `cmp_dist_idx` remains only where a heap needs
+//! pairwise comparisons ([`top_k`]).
 
 use crate::distance::Metric;
 use knnshap_datasets::Features;
 
 /// One retrieved neighbor: training-set index plus distance under the metric
 /// used for the query.
+///
+/// Laid out like the packed `u64` sort key (8 bytes, 8-aligned), so the
+/// sorted key buffer is reused in place as the neighbor list.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(8))]
 pub struct Neighbor {
     pub index: u32,
     pub dist: f32,
 }
+
+// The in-place unpack relies on this: `Vec<u64>` → `Vec<Neighbor>` reuses
+// the allocation only when size and alignment match.
+const _: () = assert!(
+    std::mem::size_of::<Neighbor>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<Neighbor>() == std::mem::align_of::<u64>()
+);
 
 /// Total order on distances with index tiebreak, so every retrieval function
 /// produces one deterministic ranking even in the presence of exact ties
@@ -36,18 +71,45 @@ pub(crate) fn cmp_dist_idx(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
         .then(a.index.cmp(&b.index))
 }
 
+/// The packed sort key of one `(distance, index)` pair: integer order on
+/// keys is `(distance, index)` order (see the module docs).
+#[inline]
+pub(crate) fn pack(dist: f32, index: u32) -> u64 {
+    assert!(!dist.is_nan(), "NaN distance");
+    // `+ 0.0` maps -0.0 to +0.0 and leaves every other value unchanged.
+    let bits = (dist + 0.0).to_bits();
+    let flip = ((bits as i32 >> 31) as u32) | 0x8000_0000;
+    (u64::from(bits ^ flip) << 32) | u64::from(index)
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(key: u64) -> Neighbor {
+    let ordered = (key >> 32) as u32;
+    let flip = !((ordered as i32 >> 31) as u32) | 0x8000_0000;
+    Neighbor {
+        index: key as u32,
+        dist: f32::from_bits(ordered ^ flip),
+    }
+}
+
+/// The `k` nearest of `dists` (the distance of training row `i` at position
+/// `i`) in ascending `(distance, index)` order; all of them when
+/// `k >= dists.len()`. Selects with `select_nth_unstable` (expected O(N))
+/// before sorting only the kept prefix.
+pub(crate) fn rank_nearest(dists: impl Iterator<Item = f32>, k: usize) -> Vec<Neighbor> {
+    let mut keys: Vec<u64> = dists.enumerate().map(|(i, d)| pack(d, i as u32)).collect();
+    if k < keys.len() {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+    keys.into_iter().map(unpack).collect()
+}
+
 /// Rank all training rows by ascending distance to `query`.
 pub fn argsort_by_distance(train: &Features, query: &[f32], metric: Metric) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = train
-        .rows()
-        .enumerate()
-        .map(|(i, row)| Neighbor {
-            index: i as u32,
-            dist: metric.eval(query, row),
-        })
-        .collect();
-    all.sort_unstable_by(cmp_dist_idx);
-    all
+    rank_nearest(train.rows().map(|row| metric.eval(query, row)), usize::MAX)
 }
 
 /// The `k` nearest rows in ascending order, without sorting the rest.
@@ -60,23 +122,7 @@ pub fn partial_k_nearest(
     k: usize,
     metric: Metric,
 ) -> Vec<Neighbor> {
-    let n = train.len();
-    let mut all: Vec<Neighbor> = train
-        .rows()
-        .enumerate()
-        .map(|(i, row)| Neighbor {
-            index: i as u32,
-            dist: metric.eval(query, row),
-        })
-        .collect();
-    if k >= n {
-        all.sort_unstable_by(cmp_dist_idx);
-        return all;
-    }
-    all.select_nth_unstable_by(k, cmp_dist_idx);
-    all.truncate(k);
-    all.sort_unstable_by(cmp_dist_idx);
-    all
+    rank_nearest(train.rows().map(|row| metric.eval(query, row)), k)
 }
 
 /// Heap-based top-`k`: maintains a bounded max-heap while streaming the rows.
@@ -175,6 +221,141 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparator sort the packed keys replaced, kept as the oracle.
+    fn comparator_rank(dists: &[f32], k: usize) -> Vec<Neighbor> {
+        let mut all: Vec<Neighbor> = dists
+            .iter()
+            .enumerate()
+            .map(|(i, &dist)| Neighbor {
+                index: i as u32,
+                dist,
+            })
+            .collect();
+        all.sort_unstable_by(cmp_dist_idx);
+        all.truncate(k);
+        all
+    }
+
+    /// Equal rankings: same indices, same distance bits up to `-0.0 == +0.0`.
+    fn same_ranking(got: &[Neighbor], want: &[Neighbor]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(g, w)| {
+                g.index == w.index
+                    && (g.dist.to_bits() == w.dist.to_bits() || (g.dist == 0.0 && w.dist == 0.0))
+            })
+    }
+
+    /// Ties, signed zeros, subnormals, infinities and the slightly negative
+    /// distances Cosine can return.
+    const SPECIAL: [f32; 14] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1.0e-45, // smallest subnormal
+        -1.0e-45,
+        1.1754942e-38, // largest subnormal
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        -1.0e-7,
+        1.0,
+        1.0,
+        2.5,
+    ];
+
+    fn special_or(pick: usize, bits: u32) -> f32 {
+        match SPECIAL.get(pick) {
+            Some(&d) => d,
+            None if f32::from_bits(bits).is_nan() => 0.5,
+            None => f32::from_bits(bits),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn packed_order_equals_comparator_order(
+            picks in prop::collection::vec((0usize..28, any::<u32>()), 0..400),
+            k in 0usize..420,
+        ) {
+            let dists: Vec<f32> = picks.iter().map(|&(p, b)| special_or(p, b)).collect();
+            let full = rank_nearest(dists.iter().copied(), usize::MAX);
+            prop_assert!(same_ranking(&full, &comparator_rank(&dists, usize::MAX)));
+            let part = rank_nearest(dists.iter().copied(), k);
+            prop_assert!(same_ranking(&part, &comparator_rank(&dists, k)));
+        }
+    }
+
+    #[test]
+    fn packed_order_on_every_small_input() {
+        assert!(rank_nearest(std::iter::empty(), usize::MAX).is_empty());
+        for &a in &SPECIAL {
+            assert!(same_ranking(
+                &rank_nearest([a].into_iter(), usize::MAX),
+                &comparator_rank(&[a], usize::MAX)
+            ));
+            for &b in &SPECIAL {
+                for k in 0..3 {
+                    assert!(
+                        same_ranking(
+                            &rank_nearest([a, b].into_iter(), k),
+                            &comparator_rank(&[a, b], k)
+                        ),
+                        "{a:e} {b:e} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_restores_distance_bits() {
+        for &d in SPECIAL
+            .iter()
+            .filter(|d| d.to_bits() != (-0.0f32).to_bits())
+        {
+            let n = unpack(pack(d, 7));
+            assert_eq!((n.index, n.dist.to_bits()), (7, d.to_bits()));
+        }
+        assert_eq!(unpack(pack(-0.0, 3)).dist.to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN distance")]
+    fn nan_distance_panics() {
+        rank_nearest([1.0, f32::NAN, 0.5].into_iter(), usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN distance")]
+    fn nan_distance_panics_for_a_single_row() {
+        rank_nearest([f32::NAN].into_iter(), usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN distance")]
+    fn nan_distance_panics_in_partial_selection() {
+        rank_nearest([0.0, 1.0, -f32::NAN, 2.0].into_iter(), 1);
+    }
+
+    #[test]
+    fn cosine_ranks_slightly_negative_distances_first() {
+        // Parallel rows: 1 − cos rounds to a hair below zero for some pairs.
+        let f = Features::new(vec![0.1, 0.7, 3.0, 21.0, -1.0, 0.0], 2);
+        let ranked = argsort_by_distance(&f, &[0.3, 2.1], Metric::Cosine);
+        let dists: Vec<f32> = f
+            .rows()
+            .map(|r| Metric::Cosine.eval(&[0.3, 2.1], r))
+            .collect();
+        assert!(same_ranking(&ranked, &comparator_rank(&dists, usize::MAX)));
+        assert!(ranked[0].dist < 0.0, "{ranked:?}");
+        let order: Vec<u32> = ranked.iter().map(|n| n.index).collect();
+        assert_eq!(order, vec![1, 0, 2]);
+    }
 
     fn matrix() -> Features {
         // 1-D points 0, 1, 2, ..., 9

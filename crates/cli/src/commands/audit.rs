@@ -35,8 +35,8 @@ const ALLOWED: &[&str] = &[
 
 pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
+    let k = super::parse_k(args)?;
     let (train, test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     let inspect = args.usize_or("inspect", 20)?.min(train.len());
 
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;

@@ -20,8 +20,8 @@ const ALLOWED: &[&str] = &["train", "test", "k", "eps", "delta", "max-tables", "
 
 pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
+    let k = super::parse_k(args)?;
     let (mut train, mut test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     let eps = args.f64_or("eps", 0.1)?;
     let delta = args.f64_or("delta", 0.1)?;
     let seed = args.u64_or("seed", 17)?;

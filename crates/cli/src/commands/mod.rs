@@ -10,7 +10,7 @@ pub mod synth;
 pub mod value;
 pub mod watch;
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use crate::CliError;
 use knnshap_core::mc::StoppingRule;
 use knnshap_core::pipeline::Method;
@@ -18,6 +18,22 @@ use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 use std::path::Path;
+
+/// Resolves `--k` (default 1), refusing K = 0 — it has no neighbors to
+/// value. Every command taking `--k` calls this before reading any dataset,
+/// so the refusal is an argument error rather than a panic deep in an
+/// estimator.
+pub(crate) fn parse_k(args: &Args) -> Result<usize, CliError> {
+    match args.usize_or("k", 1)? {
+        0 => Err(ArgError::BadValue {
+            key: "k".into(),
+            value: "0".into(),
+            expected: "a positive integer",
+        }
+        .into()),
+        k => Ok(k),
+    }
+}
 
 /// Loads the `--train`/`--test` CSV pair shared by value/audit/contrast.
 pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), CliError> {

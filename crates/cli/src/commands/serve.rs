@@ -68,8 +68,8 @@ fn parse_point(spec: &str) -> Result<Vec<f32>, CliError> {
 pub fn run_serve(args: &Args) -> Result<String, CliError> {
     args.expect_only(SERVE_ALLOWED)?;
     let endpoint = parse_endpoint(args)?;
+    let k = super::parse_k(args)?;
     let (train, test) = super::load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
 
     let graph = super::load_graph(args, &train.x, &test.x)?;

@@ -198,8 +198,8 @@ const SHARD_ALLOWED: &[&str] = &[
 /// `knnshap shard`: compute one shard and write it to `--out`.
 pub fn run_shard(args: &Args) -> Result<String, CliError> {
     args.expect_only(SHARD_ALLOWED)?;
+    let k = super::parse_k(args)?;
     let (train, test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     args.require("shard-index")?;
     args.require("shard-count")?;
     let index = args.usize_or("shard-index", 0)?;
@@ -305,8 +305,8 @@ const MERGE_ALLOWED: &[&str] = &[
 /// methods).
 pub fn run_merge(args: &Args) -> Result<String, CliError> {
     args.expect_only(MERGE_ALLOWED)?;
+    let k = super::parse_k(args)?;
     let (train, test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     let top = args.usize_or("top", 10)?;
 
     let inputs = args.require("inputs")?;

@@ -1,7 +1,7 @@
 //! `knnshap value` — compute per-point values, optionally price them.
 
-use crate::args::{ArgError, Args};
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::args::Args;
+use crate::commands::{load_pair, parse_k, parse_method, parse_weight};
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
@@ -36,16 +36,7 @@ const ALLOWED: &[&str] = &[
 
 pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
-    // Refused before any dataset is read: K = 0 has no neighbors to value.
-    let k = args.usize_or("k", 1)?;
-    if k == 0 {
-        return Err(ArgError::BadValue {
-            key: "k".into(),
-            value: "0".into(),
-            expected: "a positive integer",
-        }
-        .into());
-    }
+    let k = parse_k(args)?;
     let (train, test) = load_pair(args)?;
     let method = parse_method(args)?;
     let weight = parse_weight(args)?;

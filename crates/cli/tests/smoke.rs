@@ -290,3 +290,35 @@ fn value_refuses_k_zero_before_loading_data() {
         assert!(!stderr.contains("panicked"), "{method}: {stderr}");
     }
 }
+
+#[test]
+fn every_k_taking_subcommand_refuses_k_zero_before_loading_data() {
+    // Same contract as `value` above, one process per subcommand: exit 1
+    // with the one argument-error line, never a panic (exit 101), and the
+    // data paths do not exist, so the refusal precedes any read.
+    let missing = temp_path("k0_every_missing.csv");
+    let missing = missing.to_str().unwrap();
+    let socket = temp_path("k0_every.sock");
+    let cases: [(&str, &[&str]); 5] = [
+        ("audit", &[]),
+        ("contrast", &[]),
+        ("shard", &["--shard-index", "0", "--shard-count", "2"]),
+        ("merge", &["--inputs", missing]),
+        ("serve", &["--socket", socket.to_str().unwrap()]),
+    ];
+    for (cmd, extra) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_knnshap"))
+            .args([cmd, "--train", missing, "--test", missing, "--k", "0"])
+            .args(extra)
+            .output()
+            .expect("spawn knnshap");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some("error: --k 0: expected a positive integer"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}

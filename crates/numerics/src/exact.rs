@@ -33,16 +33,11 @@
 //!
 //! That is the determinism contract the `knnshap_core::sharding` module
 //! builds on. The register is stored as a **lazily-sized window**: a fresh
-//! accumulator holds no limbs at all (~56 bytes), and deposits grow the
+//! accumulator holds no limbs at all (40 bytes), and deposits grow the
 //! window only over the limb positions their magnitudes actually touch —
-//! summands of similar magnitude keep it at a handful of limbs, so a
-//! per-training-point vector ([`ExactVec`]) costs tens of bytes per point
-//! in practice instead of the full register's ~0.5 KiB (the worst case if
-//! a single accumulator really mixes 2⁻¹⁰⁷⁴ with 2¹⁰²³). Callers holding
-//! one accumulator per training point should still keep the number of
-//! simultaneous partial vectors bounded, as `knnshap_core::sharding`'s
-//! eager block fold does. The extra ALU ops per deposit are dwarfed by the
-//! valuation work producing each summand.
+//! summands of similar magnitude keep it at a handful of limbs instead of
+//! the full register's ~0.5 KiB (the worst case if a single accumulator
+//! really mixes 2⁻¹⁰⁷⁴ with 2¹⁰²³).
 //!
 //! ```
 //! use knnshap_numerics::exact::ExactSum;
@@ -62,6 +57,54 @@
 //! assert_eq!(whole.value(), 2.0);
 //! assert_eq!(whole.value().to_bits(), left.value().to_bits());
 //! ```
+//!
+//! ## The fixed-point lane of [`ExactVec`]
+//!
+//! A per-training-point vector adds one summand per slot per test point.
+//! When the summands are fractions below 1 a 2176-bit register is
+//! overkill: [`ExactVec`] keeps one `i128` per slot, an exact integer
+//! multiple of 2⁻¹¹⁴, and allocates the registers only when some summand
+//! misses it. Classification values are at most 1 in magnitude (the
+//! utility lies in `[0, 1]`); regression values scale with the square of
+//! the targets, so they are fractions while the targets are of order 1,
+//! and large targets send most summands to the registers. A slot with a
+//! register has the fixed footprint of the bare register it replaced:
+//! 16 + 40 = 56 bytes (see the [`ExactSum`] layout note).
+//! `docs/benchmarks.md` reports the measured lane share per workload.
+//!
+//! * **Eligibility.** A summand `x` enters the lane iff it is normal,
+//!   `|x| < 1` and its lowest set significand bit is worth at least 2⁻¹¹⁴.
+//!   Its lane value `x · 2¹¹⁴` is then a shift of the significand — an
+//!   integer below 2¹¹⁴, no rounding. Everything else (zero, subnormals,
+//!   `|x| ≥ 1`, finer bits, non-finite values) takes the register path.
+//! * **Bound.** Every lane entry stays below 2¹²⁵ in magnitude. A deposit
+//!   (< 2¹¹⁴) or a merge (< 2¹²⁵) that would reach the bound moves that one
+//!   entry into its slot's register instead — exactly, as four 32-bit
+//!   chunks; the sum of two in-bound terms stays below 2¹²⁶, so no `i128`
+//!   ever overflows. The check is per slot, so one busy slot never flushes
+//!   the others.
+//! * **Limb alignment.** 2⁻¹¹⁴ is the weight of register bit 960 = 30·32,
+//!   so lane bit `p` is register bit `960 + p`, in limb `30 + p/32`, and an
+//!   entry below 2¹²⁵ spans limbs 30..33.
+//!
+//! Slot `i`'s exact sum is `lane[i] · 2⁻¹¹⁴` plus its register, and the
+//! split between the two is invisible in every output:
+//!
+//! * `value` of a slot with a blank register is `(v as f64) · 2⁻¹¹⁴`. The
+//!   integer-to-float `as` rounds to nearest, ties to even, and the
+//!   power-of-two scale is exact (the result is zero or at least 2⁻¹¹⁴ in
+//!   magnitude, far from subnormals), so it is the register's own rounding
+//!   of the same sum. With a register, the lane entry is folded into the
+//!   register's canonical form before rounding.
+//! * `encode_into` writes the same canonical record as a register holding
+//!   the sum: a lane entry's sign and magnitude limbs come straight from
+//!   the `i128`, trimmed to its nonzero limbs.
+//! * `decode_from` puts a record back in the lane when it has no special,
+//!   its window lies in limbs 30..33 and it is below 2¹²⁵; any other record
+//!   becomes a register. Shard files therefore keep their bytes whichever
+//!   storage wrote or reads them.
+//!
+//! The scale and bound are fixed by this argument, not tuning knobs.
 
 /// Bits per limb window. Limbs are kept in `i64`s so up to
 /// [`PENDING_MAX`] deposits can accumulate before a carry sweep.
@@ -106,19 +149,30 @@ const LIMB_MASK: i64 = 0xFFFF_FFFF;
 /// sweeps, shrinks back) to the magnitude range actually in use. The value
 /// represented is independent of the window bounds, so none of the
 /// determinism contract depends on them.
+///
+/// The carry past the register and the nonfinite side channel are almost
+/// never used, so they live behind one box: an accumulator is 40 bytes, and
+/// an [`ExactVec`] slot with a register (16-byte lane entry plus register)
+/// has the 56-byte fixed size a bare register had before the lane existed.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSum {
-    /// Limb index (in the full 68-limb register) of `limbs[0]`.
-    start: usize,
     /// Signed limb window; entry `i` carries `limbs[i] · 2^(32·(start+i) − 1074)`.
     limbs: Vec<i64>,
-    /// Carry out of the top limb (kept separately so sweeps never lose bits).
-    top: i64,
+    /// Top carry and specials; `None` until either is needed.
+    rare: Option<Box<Rare>>,
     /// Deposits/merges since the last carry sweep.
     pending: u32,
-    /// `f64`-folded nonfinite summands; meaningful iff `has_special`.
-    special: f64,
-    has_special: bool,
+    /// Limb index (in the full 68-limb register) of `limbs[0]`.
+    start: u16,
+}
+
+/// The rarely used part of an [`ExactSum`].
+#[derive(Debug, Clone, Default)]
+struct Rare {
+    /// Carry out of the top limb (kept separately so sweeps never lose bits).
+    top: i64,
+    /// `f64`-folded nonfinite summands, once any arrived.
+    special: Option<f64>,
 }
 
 /// Decoding failures for [`ExactSum::decode_from`] /
@@ -147,12 +201,7 @@ impl ExactSum {
             return;
         }
         if !x.is_finite() {
-            self.special = if self.has_special {
-                self.special + x
-            } else {
-                x
-            };
-            self.has_special = true;
+            self.add_special(x);
             return;
         }
         let bits = x.to_bits();
@@ -184,24 +233,40 @@ impl ExactSum {
         self.bump_pending(1);
     }
 
+    /// Fold a nonfinite summand into the special side channel with `f64`
+    /// addition.
+    fn add_special(&mut self, x: f64) {
+        let rare = self.rare.get_or_insert_with(Box::default);
+        rare.special = Some(rare.special.map_or(x, |s| s + x));
+    }
+
+    fn top(&self) -> i64 {
+        self.rare.as_ref().map_or(0, |r| r.top)
+    }
+
+    fn special(&self) -> Option<f64> {
+        self.rare.as_ref().and_then(|r| r.special)
+    }
+
     /// Grow the window (if needed) to cover limb positions `lo..hi` of the
     /// full register, returning `lo`'s offset inside the window.
     fn ensure_window(&mut self, lo: usize, hi: usize) -> usize {
         debug_assert!(lo < hi && hi <= LIMBS);
         if self.limbs.is_empty() {
-            self.start = lo;
+            self.start = lo as u16;
             self.limbs.resize(hi - lo, 0);
             return 0;
         }
-        if lo < self.start {
-            let grow = self.start - lo;
+        if lo < self.start as usize {
+            let grow = self.start as usize - lo;
             self.limbs.splice(0..0, std::iter::repeat(0).take(grow));
-            self.start = lo;
+            self.start = lo as u16;
         }
-        if hi > self.start + self.limbs.len() {
-            self.limbs.resize(hi - self.start, 0);
+        let start = self.start as usize;
+        if hi > start + self.limbs.len() {
+            self.limbs.resize(hi - start, 0);
         }
-        lo - self.start
+        lo - start
     }
 
     /// Number of limbs currently materialized — the lazily-sized window's
@@ -217,19 +282,19 @@ impl ExactSum {
     /// grouped.
     pub fn merge(&mut self, other: &ExactSum) {
         if !other.limbs.is_empty() {
-            let o = self.ensure_window(other.start, other.start + other.limbs.len());
+            let lo = other.start as usize;
+            let o = self.ensure_window(lo, lo + other.limbs.len());
             for (i, &b) in other.limbs.iter().enumerate() {
                 self.limbs[o + i] += b;
             }
         }
-        self.top += other.top;
-        if other.has_special {
-            self.special = if self.has_special {
-                self.special + other.special
-            } else {
-                other.special
-            };
-            self.has_special = true;
+        if let Some(rare) = &other.rare {
+            if rare.top != 0 {
+                self.rare.get_or_insert_with(Box::default).top += rare.top;
+            }
+            if let Some(special) = rare.special {
+                self.add_special(special);
+            }
         }
         self.bump_pending(other.pending.saturating_add(1));
     }
@@ -261,7 +326,7 @@ impl ExactSum {
             carry = (v - r) >> LIMB_BITS;
             *l = r;
         }
-        while carry != 0 && self.start + self.limbs.len() < LIMBS {
+        while carry != 0 && self.start as usize + self.limbs.len() < LIMBS {
             let v = carry;
             let mut r = v & LIMB_MASK;
             if r >= 1 << 31 {
@@ -270,14 +335,16 @@ impl ExactSum {
             carry = (v - r) >> LIMB_BITS;
             self.limbs.push(r);
         }
-        self.top += carry;
+        if carry != 0 {
+            self.rare.get_or_insert_with(Box::default).top += carry;
+        }
         while let Some(0) = self.limbs.last() {
             self.limbs.pop();
         }
         let lead = self.limbs.iter().take_while(|&&l| l == 0).count();
         if lead > 0 {
             self.limbs.drain(..lead);
-            self.start += lead;
+            self.start += lead as u16;
         }
         if self.limbs.is_empty() {
             self.start = 0;
@@ -291,13 +358,20 @@ impl ExactSum {
     /// exact sum is zero. A `top` residue that survives canonicalization
     /// means the sum left the register's range (≥ 2¹¹⁰¹ in magnitude); it is
     /// mapped to a saturated sign reported by the boolean.
-    fn canonical(&self) -> (i8, [i64; LIMBS], bool) {
+    ///
+    /// `lane` is an extra exact term `lane · 2⁻¹¹⁴` (an [`ExactVec`] slot's
+    /// fixed-point entry) folded in before the sweep, so a slot's register
+    /// and lane canonicalize together without materializing their sum.
+    fn canonical(&self, lane: i128) -> (i8, [i64; LIMBS], bool) {
         let mut full = [0i64; LIMBS];
         for (i, &l) in self.limbs.iter().enumerate() {
-            full[self.start + i] = l;
+            full[self.start as usize + i] = l;
+        }
+        for (k, c) in lane_chunks(lane).into_iter().enumerate() {
+            full[LANE_LIMB + k] += c;
         }
         // Strict sweep: every limb to [0, 2³²), signed residue to `top`.
-        let mut top = self.top;
+        let mut top = self.top();
         let mut carry = 0i64;
         for l in &mut full {
             let v = *l + carry;
@@ -333,16 +407,21 @@ impl ExactSum {
     /// The exact sum rounded once to the nearest `f64` (ties to even), or
     /// the `f64`-folded nonfinite result if any nonfinite summand arrived.
     pub fn value(&self) -> f64 {
-        let finite = self.finite_value();
-        if self.has_special {
-            finite + self.special
-        } else {
-            finite
+        self.value_with(0)
+    }
+
+    /// [`value`](Self::value) of this register plus the lane term
+    /// `lane · 2⁻¹¹⁴`.
+    fn value_with(&self, lane: i128) -> f64 {
+        let finite = self.finite_value(lane);
+        match self.special() {
+            Some(special) => finite + special,
+            None => finite,
         }
     }
 
-    fn finite_value(&self) -> f64 {
-        let (sign, mag, saturated) = self.canonical();
+    fn finite_value(&self, lane: i128) -> f64 {
+        let (sign, mag, saturated) = self.canonical(lane);
         if saturated {
             return if sign > 0 {
                 f64::INFINITY
@@ -408,7 +487,7 @@ impl ExactSum {
     /// True iff no summand has ever been deposited (or they cancelled to an
     /// exact zero) and no nonfinite summand arrived.
     pub fn is_zero(&self) -> bool {
-        !self.has_special && self.canonical().0 == 0
+        self.special().is_none() && self.canonical(0).0 == 0
     }
 
     /// Append the canonical serialized record (little-endian):
@@ -425,7 +504,13 @@ impl ExactSum {
     /// writing), so equal sums — however they were grouped or ordered —
     /// serialize to identical bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (sign, mag, saturated) = self.canonical();
+        self.encode_with(0, out);
+    }
+
+    /// [`encode_into`](Self::encode_into) of this register plus the lane
+    /// term `lane · 2⁻¹¹⁴`.
+    fn encode_with(&self, lane: i128, out: &mut Vec<u8>) {
+        let (sign, mag, saturated) = self.canonical(lane);
         debug_assert!(!saturated, "saturated ExactSum cannot be serialized");
         let first = (0..LIMBS).find(|&i| mag[i] != 0);
         let (start, len) = match first {
@@ -438,7 +523,8 @@ impl ExactSum {
         // A special always forces code ±2 (even over a zero finite part, so
         // the decoder knows to read the special field); a negative-or-zero
         // magnitude under code +2 is fine — the sign only scales the limbs.
-        let sign_code = if self.has_special {
+        let special = self.special();
+        let sign_code = if special.is_some() {
             if sign < 0 {
                 -2
             } else {
@@ -448,8 +534,8 @@ impl ExactSum {
             sign
         };
         out.push(sign_code as u8);
-        if self.has_special {
-            out.extend_from_slice(&self.special.to_bits().to_le_bytes());
+        if let Some(special) = special {
+            out.extend_from_slice(&special.to_bits().to_le_bytes());
         }
         out.extend_from_slice(&(start as u16).to_le_bytes());
         out.extend_from_slice(&(len as u16).to_le_bytes());
@@ -461,7 +547,40 @@ impl ExactSum {
     /// Decode one record written by [`encode_into`](Self::encode_into),
     /// advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<ExactSum, DecodeError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
+        Record::read(buf, pos).map(|r| r.into_sum())
+    }
+
+    /// Deposit the lane term `v · 2⁻¹¹⁴` (`|v| < 2¹²⁶`) exactly: four
+    /// 32-bit chunks into limbs `30..34`, each no larger than one
+    /// [`add`](Self::add) deposit's, so it counts as one pending deposit.
+    fn add_lane(&mut self, v: i128) {
+        let o = self.ensure_window(LANE_LIMB, LANE_LIMB + LANE_LIMBS);
+        for (k, c) in lane_chunks(v).into_iter().enumerate() {
+            self.limbs[o + k] += c;
+        }
+        self.bump_pending(1);
+    }
+
+    /// True iff nothing was ever deposited: no limbs, no carry, no special.
+    /// Such a register contributes nothing to its [`ExactVec`] slot.
+    fn is_blank(&self) -> bool {
+        self.limbs.is_empty() && self.top() == 0 && self.special().is_none()
+    }
+}
+
+/// One serialized accumulator record (see [`ExactSum::encode_into`]),
+/// validated but not yet placed in a register or a lane.
+struct Record<'a> {
+    sign: i8,
+    special: Option<f64>,
+    start: usize,
+    /// `len` little-endian `u32` magnitude limbs.
+    limbs: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    fn read(buf: &'a [u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        let take = |pos: &mut usize, n: usize| -> Result<&'a [u8], DecodeError> {
             let s = buf
                 .get(*pos..*pos + n)
                 .ok_or(DecodeError("record truncated"))?;
@@ -480,11 +599,11 @@ impl ExactSum {
             _ => return Err(DecodeError("bad sign byte")),
         };
         let special = if has_special {
-            f64::from_bits(u64::from_le_bytes(
+            Some(f64::from_bits(u64::from_le_bytes(
                 take(pos, 8)?.try_into().expect("8 bytes"),
-            ))
+            )))
         } else {
-            0.0
+            None
         };
         let start = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
         let len = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
@@ -494,115 +613,310 @@ impl ExactSum {
         if sign == 0 && len != 0 {
             return Err(DecodeError("zero sign with nonzero limbs"));
         }
+        let limbs = take(pos, 4 * len)?;
+        Ok(Record {
+            sign,
+            special,
+            start,
+            limbs,
+        })
+    }
+
+    fn limbs(&self) -> impl Iterator<Item = u32> + 'a {
+        self.limbs
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+    }
+
+    fn into_sum(self) -> ExactSum {
         let mut s = ExactSum::new();
-        if len > 0 {
-            s.start = start;
-            s.limbs.reserve_exact(len);
-            for _ in 0..len {
-                let l = u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")) as i64;
-                s.limbs.push(if sign < 0 { -l } else { l });
-            }
+        if !self.limbs.is_empty() {
+            s.start = self.start as u16;
+            s.limbs = self
+                .limbs()
+                .map(|l| if self.sign < 0 { -(l as i64) } else { l as i64 })
+                .collect();
             // Decoded limbs reach 2³² − 1 in magnitude (two sweeps' worth of
             // the post-sweep bound), so account for them in the overflow
             // budget as two deposits.
             s.pending = 2;
         }
-        s.special = special;
-        s.has_special = has_special;
-        Ok(s)
+        if let Some(special) = self.special {
+            s.add_special(special);
+        }
+        s
+    }
+
+    /// The record as an [`ExactVec`] lane entry, when it is one: no special,
+    /// window inside limbs `30..34`, magnitude below the lane bound.
+    fn lane(&self) -> Option<i128> {
+        if self.special.is_some() {
+            return None;
+        }
+        if self.limbs.is_empty() {
+            return Some(0);
+        }
+        if self.start < LANE_LIMB {
+            return None;
+        }
+        let base = self.start - LANE_LIMB;
+        if base + self.limbs.len() / 4 > LANE_LIMBS {
+            return None;
+        }
+        let mut mag = 0u128;
+        for (k, l) in self.limbs().enumerate() {
+            mag |= (l as u128) << (LIMB_BITS as usize * (base + k));
+        }
+        if mag >= LANE_BOUND {
+            return None;
+        }
+        Some(if self.sign < 0 {
+            -(mag as i128)
+        } else {
+            mag as i128
+        })
     }
 }
 
-/// A vector of [`ExactSum`] accumulators — one per training point.
+/// Register limb holding bit 0 of an [`ExactVec`] lane entry: limb 30 starts
+/// at bit position 960, weight `2^(960 − 1074) = 2⁻¹¹⁴`.
+const LANE_LIMB: usize = 30;
+
+/// Register limbs a lane entry (and a lane spill) spans: 4 × 32 = 128 bits.
+const LANE_LIMBS: usize = 4;
+
+/// Exclusive bound on a lane entry's magnitude. A lane deposit is below
+/// 2¹¹⁴ and a merged entry below 2¹²⁵, so any sum of two stays below 2¹²⁶
+/// — no `i128` overflow before the bound check spills it.
+const LANE_BOUND: u128 = 1 << 125;
+
+/// `2⁻¹¹⁴`, the weight of lane bit 0.
+const LANE_ULP: f64 = 1.0 / (1u128 << 114) as f64;
+
+/// `x` as an exact lane entry (`x = v · 2⁻¹¹⁴`), or `None` when `x` is not
+/// one: zero, subnormal, `|x| ≥ 1`, non-finite, or a set significand bit
+/// below 2⁻¹¹⁴.
+#[inline]
+fn lane_of(x: f64) -> Option<i128> {
+    let bits = x.to_bits();
+    // Normal with |x| < 1: biased exponent in 1..=1022.
+    let exp = ((bits >> 52) & 0x7FF) as i32;
+    if exp == 0 || exp >= 1023 {
+        return None;
+    }
+    let m = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
+    // x = ±m · 2^(exp − 1075) = ±m · 2^(exp − 961) · 2⁻¹¹⁴, and the shift
+    // is at most 1022 − 961 = 61, so v < 2⁵³⁺⁶¹ = 2¹¹⁴.
+    let shift = exp - 961;
+    let mag = if shift >= 0 {
+        (m as i128) << shift
+    } else {
+        // The significand keeps bit 52 set, so it cannot lose more than 52
+        // zero bits; dropping any set bit would round.
+        let drop = (-shift) as u32;
+        if drop > 52 || m & ((1u64 << drop) - 1) != 0 {
+            return None;
+        }
+        (m >> drop) as i128
+    };
+    Some(if bits >> 63 == 0 { mag } else { -mag })
+}
+
+/// A lane term split into four signed 32-bit chunks for limbs `30..34`.
+#[inline]
+fn lane_chunks(v: i128) -> [i64; LANE_LIMBS] {
+    let mag = v.unsigned_abs();
+    std::array::from_fn(|k| {
+        let c = ((mag >> (LIMB_BITS as usize * k)) as u64 & LIMB_MASK as u64) as i64;
+        if v < 0 {
+            -c
+        } else {
+            c
+        }
+    })
+}
+
+/// A lane entry's canonical record — byte for byte what
+/// [`ExactSum::encode_into`] writes for a register holding the same sum.
+/// This is the record format's second writer: the proptest
+/// `exact_vec_lane_matches_per_slot_reference` keeps it byte-equal to
+/// `encode_with`, so a format change must update both.
+fn encode_lane(v: i128, out: &mut Vec<u8>) {
+    if v == 0 {
+        out.extend_from_slice(&[0, 0, 0, 0, 0]);
+        return;
+    }
+    let mag = v.unsigned_abs();
+    let lo = (mag.trailing_zeros() / LIMB_BITS) as usize;
+    let hi = ((127 - mag.leading_zeros()) / LIMB_BITS) as usize;
+    out.push(if v < 0 { 0xFF } else { 0x01 });
+    out.extend_from_slice(&((LANE_LIMB + lo) as u16).to_le_bytes());
+    out.extend_from_slice(&((hi - lo + 1) as u16).to_le_bytes());
+    for k in lo..=hi {
+        out.extend_from_slice(&((mag >> (LIMB_BITS as usize * k)) as u32).to_le_bytes());
+    }
+}
+
+/// A vector of exact accumulators — one per training point.
 ///
 /// Carries the same determinism contract as the scalar: the materialized
 /// [`values`](Self::values) depend only on the multiset of `(index, summand)`
 /// deposits, never on their order or on how deposits were split across
 /// merged partial vectors. This is the state the sharded valuation runtime
 /// serializes into shard files.
+///
+/// ### Fixed-point lane
+///
+/// Slot `i`'s exact sum is `lane[i] · 2⁻¹¹⁴` plus its [`ExactSum`]
+/// register. Summands that are exact multiples of 2⁻¹¹⁴ below 1 in
+/// magnitude are integer-added into the lane; the registers are allocated
+/// only when some summand misses it (see the module docs for the rule, the
+/// bound and why `value` and `encode_into` are unchanged by the split).
 #[derive(Debug, Clone)]
 pub struct ExactVec {
-    sums: Vec<ExactSum>,
+    /// Fixed-point entries `v · 2⁻¹¹⁴`, each `|v| < 2¹²⁵`.
+    lane: Vec<i128>,
+    /// Per-slot registers for what the lane cannot hold; empty until the
+    /// first miss, then one per slot.
+    regs: Vec<ExactSum>,
 }
 
 impl ExactVec {
     /// `n` zeroed accumulators.
     pub fn zeros(n: usize) -> Self {
         Self {
-            sums: vec![ExactSum::default(); n],
+            lane: vec![0; n],
+            regs: Vec::new(),
         }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.sums.len()
+        self.lane.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
+        self.lane.is_empty()
+    }
+
+    /// Slot `i`'s register, allocating the register vector on first use.
+    fn reg(&mut self, i: usize) -> &mut ExactSum {
+        if self.regs.is_empty() {
+            self.regs = vec![ExactSum::default(); self.lane.len()];
+        }
+        &mut self.regs[i]
+    }
+
+    /// Add the lane term `v` (`|v| < 2¹²⁵`) to slot `i`; an entry that
+    /// would reach the bound moves into the slot's register instead.
+    #[inline]
+    fn lane_add(&mut self, i: usize, v: i128) {
+        let t = self.lane[i] + v;
+        if t.unsigned_abs() < LANE_BOUND {
+            self.lane[i] = t;
+        } else {
+            self.lane[i] = 0;
+            self.reg(i).add_lane(t);
+        }
     }
 
     /// Deposit `x` into accumulator `i`.
     #[inline]
     pub fn add(&mut self, i: usize, x: f64) {
-        self.sums[i].add(x);
+        if x == 0.0 {
+            return;
+        }
+        match lane_of(x) {
+            Some(v) => self.lane_add(i, v),
+            None => self.reg(i).add(x),
+        }
     }
 
     /// Deposit a dense per-point vector (`xs[i]` into accumulator `i`);
     /// zero entries cost one branch. Panics on length mismatch.
     pub fn add_dense(&mut self, xs: &[f64]) {
         assert_eq!(self.len(), xs.len(), "length mismatch");
-        for (s, &x) in self.sums.iter_mut().zip(xs) {
-            s.add(x);
+        for (i, &x) in xs.iter().enumerate() {
+            self.add(i, x);
         }
     }
 
     /// Fold one scalar accumulator into slot `i` (exact).
     pub fn merge_scalar(&mut self, i: usize, s: &ExactSum) {
-        self.sums[i].merge(s);
+        self.reg(i).merge(s);
     }
 
-    /// Element-wise exact [`ExactSum::merge`]. Panics on length mismatch.
+    /// Element-wise exact merge. Panics on length mismatch.
     pub fn merge(&mut self, other: &ExactVec) {
         assert_eq!(self.len(), other.len(), "length mismatch");
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            a.merge(b);
+        if self.regs.is_empty() {
+            self.regs.clone_from(&other.regs);
+        } else {
+            for (a, b) in self.regs.iter_mut().zip(&other.regs) {
+                if !b.is_blank() {
+                    a.merge(b);
+                }
+            }
+        }
+        for (i, &v) in other.lane.iter().enumerate() {
+            if v != 0 {
+                self.lane_add(i, v);
+            }
         }
     }
 
     /// Rounded total of accumulator `i`.
     #[inline]
     pub fn value(&self, i: usize) -> f64 {
-        self.sums[i].value()
+        match self.regs.get(i) {
+            Some(r) if !r.is_blank() => r.value_with(self.lane[i]),
+            // `as` rounds the integer to nearest, ties to even, and the
+            // power-of-two scale is exact (the result is 0 or ≥ 2⁻¹¹⁴ in
+            // magnitude): the register's rounding of the same sum.
+            _ => self.lane[i] as f64 * LANE_ULP,
+        }
     }
 
     /// Materialize every rounded total.
     pub fn values(&self) -> Vec<f64> {
-        self.sums.iter().map(ExactSum::value).collect()
+        (0..self.len()).map(|i| self.value(i)).collect()
     }
 
-    /// Total materialized limbs across all accumulators — the footprint of
-    /// the lazily-sized windows (8 bytes per limb). `zeros(n)` reports 0.
+    /// Total materialized limbs across all registers — the footprint of
+    /// the lazily-sized windows (8 bytes per limb) on top of the lane's 16
+    /// bytes per slot. `zeros(n)` reports 0.
     pub fn window_limbs(&self) -> usize {
-        self.sums.iter().map(ExactSum::window_limbs).sum()
+        self.regs.iter().map(ExactSum::window_limbs).sum()
     }
 
     /// Append every accumulator's canonical record (see
     /// [`ExactSum::encode_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for s in &self.sums {
-            s.encode_into(out);
+        for (i, &v) in self.lane.iter().enumerate() {
+            match self.regs.get(i) {
+                Some(r) if !r.is_blank() => r.encode_with(v, out),
+                _ => encode_lane(v, out),
+            }
         }
     }
 
-    /// Decode `n` records, advancing `pos`.
+    /// Decode `n` records, advancing `pos`. Every record is at least 5
+    /// bytes, so an `n` the rest of `buf` cannot hold is refused before
+    /// anything is allocated.
     pub fn decode_from(buf: &[u8], pos: &mut usize, n: usize) -> Result<ExactVec, DecodeError> {
-        let mut sums = Vec::with_capacity(n);
-        for _ in 0..n {
-            sums.push(ExactSum::decode_from(buf, pos)?);
+        if n > buf.len().saturating_sub(*pos) / 5 {
+            return Err(DecodeError("record count exceeds the remaining bytes"));
         }
-        Ok(ExactVec { sums })
+        let mut v = ExactVec::zeros(n);
+        for i in 0..n {
+            let r = Record::read(buf, pos)?;
+            match r.lane() {
+                Some(x) => v.lane[i] = x,
+                None => *v.reg(i) = r.into_sum(),
+            }
+        }
+        Ok(v)
     }
 }
 
@@ -804,6 +1118,13 @@ mod tests {
     }
 
     #[test]
+    fn register_plus_lane_entry_fits_a_bare_registers_old_footprint() {
+        // 40 + 16 bytes: a slot that misses the lane costs what a slot did
+        // when every slot was a 56-byte register.
+        assert_eq!(std::mem::size_of::<ExactSum>(), 40);
+    }
+
+    #[test]
     fn sweeps_shrink_windows_emptied_by_cancellation() {
         let mut s = ExactSum::new();
         s.add(1e100);
@@ -936,6 +1257,20 @@ mod tests {
         // Zero sign but nonzero window length.
         let bad = [0u8, 0, 0, 1, 0, 1, 0, 0, 0];
         assert!(ExactSum::decode_from(&bad, &mut 0).is_err());
+    }
+
+    #[test]
+    fn vec_decode_refuses_counts_the_buffer_cannot_hold() {
+        // Five zero records (5 bytes each) hold exactly five slots.
+        let buf = [0u8; 25];
+        assert_eq!(ExactVec::decode_from(&buf, &mut 0, 5).unwrap().len(), 5);
+        assert!(ExactVec::decode_from(&buf, &mut 0, 6).is_err());
+        // A huge count on a short buffer is refused before allocating —
+        // `usize::MAX` slots could not be allocated at all.
+        let mut pos = 3;
+        assert!(ExactVec::decode_from(&buf, &mut pos, usize::MAX).is_err());
+        assert_eq!(pos, 3, "nothing consumed");
+        assert!(ExactVec::decode_from(&buf, &mut 30, 1).is_err());
     }
 
     #[test]

@@ -152,6 +152,50 @@ fn group_testing_shards_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
+// Golden KNNSHARD files: the wire format pinned independently of the encoder.
+// ---------------------------------------------------------------------------
+
+/// Recompute shard 1 of 2 of three small jobs and compare each with the
+/// committed file under `tests/fixtures/`, written by an earlier encoder
+/// (one `ExactSum` register per training point). The accumulator's storage
+/// may change; these bytes may not. The regression job's contributions
+/// reach past 1 in magnitude, so its slots mix lane and register state.
+#[test]
+fn shard_files_match_golden_fixtures() {
+    let spec = ShardSpec::new(1, 2);
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(0x60), 60, 12, 3);
+    let (rtrain, rtest) = random_reg(&mut StdRng::seed_from_u64(0x61), 60, 12);
+    let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
+    let cases = [
+        (
+            "exact_class_1of2.knnshard",
+            knn_class_shapley_shard(&train, &test, 3, spec, 1),
+        ),
+        (
+            "exact_reg_1of2.knnshard",
+            knn_reg_shapley_shard(&rtrain, &rtest, 3, spec, 1),
+        ),
+        (
+            "mc_improved_1of2.knnshard",
+            mc_shapley_improved_shard(&inc, 64, 11, spec, 1),
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (name, partial) in cases {
+        let golden = std::fs::read(dir.join(name)).expect("fixture present");
+        assert!(
+            partial.to_bytes() == golden,
+            "{name}: bytes differ from the fixture"
+        );
+        let decoded = ShardPartial::from_bytes(&golden).expect("fixture decodes");
+        assert!(
+            decoded.to_bytes() == golden,
+            "{name}: decode → encode is not the identity"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Merge protocol: ordering, versioning, and failure modes.
 // ---------------------------------------------------------------------------
 

@@ -5,9 +5,10 @@
 //!    query-major loop, on the full train × test pair — the pass
 //!    `build-graph` runs once and every `--graph` consumer then skips.
 //! 2. **End to end**: brute-force `knn_class_shapley_with_threads` (distance
-//!    pass + argsort + recursion) against `KnnGraph::build` once plus
-//!    `knn_class_shapley_from_graph` per valuation — the amortization story:
-//!    one artifact, many graph-backed runs paying only the recursion.
+//!    pass + argsort + recursion) against `KnnGraph::build` once plus one
+//!    graph-backed `Estimator` partial (`Source::Graph`) per valuation — the
+//!    amortization story: one artifact, many graph-backed runs paying only
+//!    the recursion (and the job-identity hash).
 //!
 //! Both layers assert the bitwise contract on the real workload before any
 //! number is reported: blocked distances must equal naive distances bit for
@@ -20,12 +21,13 @@
 //! 8), `KNNSHAP_BENCH_THREADS` (kernel/valuation threads, default 1 so
 //! the kernel win is cache behavior, not parallelism).
 
-use knnshap_core::exact_unweighted::{
-    knn_class_shapley_from_graph, knn_class_shapley_with_threads,
-};
+use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap_core::exact_unweighted::knn_class_shapley_with_threads;
+use knnshap_core::sharding::{merge_partials, ShardSpec};
 use knnshap_datasets::synth::deepfeat::EmbeddingSpec;
 use knnshap_knn::block::{blocked_squared_l2, naive_squared_l2};
 use knnshap_knn::graph::KnnGraph;
+use knnshap_knn::weights::WeightFn;
 use std::time::Instant;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -84,8 +86,24 @@ fn main() {
     let graph = KnnGraph::build(&train.x, &test.x, threads);
     let build_secs = t0.elapsed().as_secs_f64();
 
+    let est = Estimator {
+        task: Task::Class,
+        k,
+        weight: WeightFn::Uniform,
+        family: Family::Exact,
+        seed: 0,
+    };
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
     let t0 = Instant::now();
-    let backed = knn_class_shapley_from_graph(&train, &test, k, &graph, threads);
+    let job = est
+        .prepare(data, Source::Graph(&graph))
+        .expect("graph matches");
+    let backed = merge_partials(&[job.partial(ShardSpec::full(), threads)])
+        .expect("one full shard merges")
+        .values;
     let graph_secs = t0.elapsed().as_secs_f64();
 
     for (i, (a, b)) in reference

@@ -14,9 +14,8 @@
 //! Knobs: `KNNSHAP_BENCH_N` (training points, default 2000),
 //! `KNNSHAP_BENCH_PERMS` (permutation budget, default 256).
 
-use knnshap_core::mc::{
-    mc_shapley_improved_shard, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
-};
+use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap_core::mc::{mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule};
 use knnshap_core::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap_datasets::synth::deepfeat::EmbeddingSpec;
 use knnshap_knn::weights::WeightFn;
@@ -52,6 +51,21 @@ fn main() {
         "== shard scaling: mc_shapley_improved, {perms} permutations, N = {n}, K = {k} \
          (unsharded serial: {unsharded_secs:.3} s) =="
     );
+    let est = Estimator {
+        task: Task::Class,
+        k,
+        weight: WeightFn::Uniform,
+        family: Family::McImproved { perms },
+        seed,
+    };
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
+    let job = est.prepare(data, Source::Brute).expect("valid job");
+    // An empty range (shard 0 of perms + 1) builds the shared utility
+    // outside the timed loop, as the reference above did.
+    job.partial(ShardSpec::new(0, perms + 1), 1);
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let probe = knnshap_bench::telemetry::Probe::start();
@@ -62,7 +76,7 @@ fn main() {
         let mut parts = Vec::new();
         for i in 0..shards {
             let t0 = Instant::now();
-            let p = mc_shapley_improved_shard(&inc, perms, seed, ShardSpec::new(i, shards), 1);
+            let p = job.partial(ShardSpec::new(i, shards), 1);
             let bytes = p.to_bytes();
             shard_secs.push(t0.elapsed().as_secs_f64());
             total_bytes += bytes.len();

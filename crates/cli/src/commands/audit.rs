@@ -10,6 +10,7 @@ use crate::commands::{load_pair, parse_method, parse_weight};
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::{per_class_summary, DetectionCurve};
+use knnshap_core::estimator::Task;
 use knnshap_core::pipeline::KnnShapley;
 use std::path::Path;
 
@@ -44,16 +45,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let graph = super::load_graph(args, &train.x, &test.x)?;
     let started = std::time::Instant::now();
     let (sv, permutations) = if shards > 0 {
-        super::shard::run_sharded(
-            &train,
-            &test,
-            k,
-            parse_method(args)?,
-            parse_weight(args)?,
-            graph.as_ref(),
-            shards,
-            threads,
-        )?
+        let estimator = super::parse_estimator(args, Task::Class, k, 0)?;
+        super::shard::run_sharded(&train, &test, estimator, graph.as_ref(), shards, threads)?
     } else {
         let mut builder = KnnShapley::new(&train, &test)
             .k(k)

@@ -19,39 +19,20 @@
 //! jobs, whatever the fleet went through on the way.
 
 use crate::args::Args;
-use crate::commands::parse_weight;
+use crate::commands::{parse_estimator, parse_k};
 use crate::CliError;
+use knnshap_core::estimator::Task;
 use knnshap_runtime::layout::JobDirs;
-use knnshap_runtime::spec::{absolutize, plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
+use knnshap_runtime::spec::{absolutize, plan_job, JobPlan, JobSpec};
 use knnshap_runtime::supervisor::{run_job, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Parse `--method` for job planning. Unlike `value`'s parser this knows
-/// `group-testing`, and it rejects `lsh` with the full explanation (the
-/// satellite of `docs/sharding.md`'s "Why LSH does not shard yet").
-fn parse_job_method(args: &Args) -> Result<JobMethod, CliError> {
-    let eps = args.f64_or("eps", 0.1)?;
-    let perms = args.usize_or("perms", 0)?;
-    match args.str("method").unwrap_or("exact") {
-        "exact" => Ok(JobMethod::Exact),
-        "truncated" => Ok(JobMethod::Truncated { eps }),
-        "mc-baseline" => Ok(JobMethod::McBaseline { perms }),
-        "mc-improved" => Ok(JobMethod::McImproved { perms }),
-        "group-testing" => Ok(JobMethod::GroupTesting { tests: perms }),
-        "lsh" => Err(CliError::Invalid(super::shard::LSH_UNSHARDABLE.into())),
-        other => Err(CliError::Invalid(format!(
-            "unknown method '{other}' (exact, truncated, mc-baseline, mc-improved, \
-             group-testing)"
-        ))),
-    }
-}
-
-fn parse_task(args: &Args) -> Result<TaskKind, CliError> {
+fn parse_task(args: &Args) -> Result<Task, CliError> {
     match args.str("task").unwrap_or("class") {
-        "class" => Ok(TaskKind::Class),
-        "reg" => Ok(TaskKind::Reg),
+        "class" => Ok(Task::Class),
+        "reg" => Ok(Task::Reg),
         other => Err(CliError::Invalid(format!(
             "unknown task '{other}' (class, reg)"
         ))),
@@ -79,7 +60,8 @@ const SHARD_PLAN_ALLOWED: &[&str] = &[
 /// at most — one per worker of a generously sized fleet.
 const AUTO_SHARD_CAP: usize = 64;
 
-/// `knnshap shard-plan`: derive and write a job plan into `--job DIR`.
+/// `knnshap shard-plan`: derive and write a job plan into `--job DIR`. The
+/// `--method` options go through the same parser as `shard` and `merge`.
 ///
 /// With `--auto`, the shard count is derived from a measured cost model
 /// instead of being required: the datasets are loaded once, two one-item
@@ -100,13 +82,9 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     }
     let requested = args.usize_or("shards", 0)?;
     let mut spec = JobSpec {
-        task: parse_task(args)?,
         train: absolutize(Path::new(args.require("train")?)),
         test: absolutize(Path::new(args.require("test")?)),
-        k: args.usize_or("k", 1)?,
-        weight: parse_weight(args)?,
-        method: parse_job_method(args)?,
-        seed: args.u64_or("seed", 42)?,
+        estimator: parse_estimator(args, parse_task(args)?, parse_k(args)?, 0)?,
         shards: if auto { 1 } else { requested },
         checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
     };
@@ -163,20 +141,21 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
 /// measurement cannot perturb the job the final plan describes.
 fn probe_shard_count(probe: JobPlan, max_shards: usize) -> Result<(usize, String), CliError> {
     use knnshap_core::sharding::ShardSpec;
-    use knnshap_runtime::dispatch::PreparedJob;
+    use knnshap_runtime::dispatch::{prepare, JobData};
     let total = probe.total_items as usize;
     let t0 = std::time::Instant::now();
-    let prepared = PreparedJob::from_plan(probe).map_err(CliError::Runtime)?;
+    let data = JobData::load(&probe.spec)?;
+    let prepared = prepare(&probe, &data, None)?;
     let load_secs = t0.elapsed().as_secs_f64();
     // The first one-item chunk pays the lazy utility build (distance
     // matrices) — a cost every shard-owning worker process repeats. The
     // second reuses it and times the steady state.
     let t1 = std::time::Instant::now();
-    prepared.compute_chunk(ShardSpec::new(0, total.max(1)), 1);
+    prepared.partial(ShardSpec::new(0, total.max(1)), 1);
     let first_secs = t1.elapsed().as_secs_f64();
     let (per_item, overhead) = if total >= 2 {
         let t2 = std::time::Instant::now();
-        prepared.compute_chunk(ShardSpec::new(1, total), 1);
+        prepared.partial(ShardSpec::new(1, total), 1);
         let per = t2.elapsed().as_secs_f64();
         (per, load_secs + (first_secs - per).max(0.0))
     } else {
@@ -344,8 +323,9 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
         None => None,
     };
 
-    match plan.spec.task {
-        TaskKind::Class => {
+    let estimator = plan.spec.estimator;
+    match estimator.task {
+        Task::Class => {
             // Same renderer and CSV writer as `value`/`merge`: the report
             // tail and the --out CSV are byte-identical to the unsharded run
             // (for the deterministic methods; MC reports differ only in the
@@ -359,23 +339,23 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
             out.push_str(&super::value::render(
                 &train,
                 &test,
-                plan.spec.k,
+                estimator.k,
                 &sv,
                 payout.as_deref(),
                 top,
                 None,
-                plan.spec.method.name(),
+                estimator.family.name(),
                 args.str("out"),
             ));
         }
-        TaskKind::Reg => {
+        Task::Reg => {
             let train = knnshap_datasets::io::load_reg_csv(&plan.spec.train)?;
             out.push_str(&format!(
                 "Valued {} training points against {} test points (K = {}, method = \
                  exact-reg).\ntotal value: {}\n",
                 plan.n_train,
                 plan.total_items,
-                plan.spec.k,
+                estimator.k,
                 crate::report::fmt_f64(sv.total()),
             ));
             if let Some(path) = args.str("out") {

@@ -12,6 +12,7 @@ pub mod watch;
 
 use crate::args::{ArgError, Args};
 use crate::CliError;
+use knnshap_core::estimator::{Estimator, Family, Task};
 use knnshap_core::mc::StoppingRule;
 use knnshap_core::pipeline::Method;
 use knnshap_datasets::ClassDataset;
@@ -86,6 +87,54 @@ pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
             "unknown method '{other}' (exact, truncated, lsh, mc-baseline, mc-improved)"
         ))),
     }
+}
+
+/// Why `--method lsh` is rejected by every sharded command — the full
+/// explanation, not a generic "unsupported" line, because the obvious
+/// workaround (build a per-shard index) silently breaks the determinism
+/// contract. The planned sharding design for LSH is documented in
+/// `docs/sharding.md` ("Why LSH does not shard yet").
+pub(crate) const LSH_UNSHARDABLE: &str =
+    "the LSH method cannot shard by test range: its index needs whole-test-set \
+     statistics (the relative-contrast estimate that picks hash width, table \
+     count and probe schedule), so independently built per-shard indexes would \
+     answer queries differently and the merged values would not match the \
+     unsharded run. Planned design: build the index once, then stream query \
+     ranges through OnlineValuator workers — see docs/sharding.md";
+
+/// Resolves `--method`/`--eps`/`--perms`/`--seed`/`--weight` into the
+/// shardable [`Estimator`] that `shard`, `merge`, `shard-plan` and
+/// `value`/`audit --shards` run. `lsh` is refused with the full
+/// explanation, and the estimator's own rules refuse a stochastic family
+/// without a fixed budget (`--perms`; `perms_default` where the budget is
+/// already pinned, as `merge`'s shard files pin it) before any data is read.
+pub(crate) fn parse_estimator(
+    args: &Args,
+    task: Task,
+    k: usize,
+    perms_default: usize,
+) -> Result<Estimator, CliError> {
+    let name = args.str("method").unwrap_or("exact");
+    if name == "lsh" {
+        return Err(CliError::Invalid(LSH_UNSHARDABLE.into()));
+    }
+    let eps = args.f64_or("eps", 0.1)?;
+    let perms = args.usize_or("perms", perms_default)?;
+    let family = Family::from_parts(name, eps, perms).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown method '{name}' (exact, truncated, mc-baseline, mc-improved, \
+             group-testing)"
+        ))
+    })?;
+    let estimator = Estimator {
+        task,
+        k,
+        weight: parse_weight(args)?,
+        family,
+        seed: args.u64_or("seed", 42)?,
+    };
+    estimator.check()?;
+    Ok(estimator)
 }
 
 /// The per-permutation throughput line the MC paths of `value` and `audit`

@@ -18,126 +18,13 @@
 //! ```
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::commands::{load_pair, parse_estimator};
 use crate::CliError;
-use knnshap_core::mc::{IncKnnUtility, StoppingRule};
-use knnshap_core::pipeline::{Method, PipelineError};
-use knnshap_core::sharding::{merge_partials, ShardKind, ShardPartial, ShardSpec};
-use knnshap_core::utility::KnnClassUtility;
+use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap_core::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
-use knnshap_knn::weights::WeightFn;
 use std::path::Path;
-
-/// Computes one shard's partial for a classification valuation job — the
-/// single dispatch used by `shard`, `value --shards` and `audit --shards`,
-/// so in-process and multi-process sharding cannot diverge. When a
-/// precomputed `graph` is given the shard skips the distance pass; the
-/// partial's kind, fingerprint and bytes are identical either way, so
-/// graph-backed and brute-force shards of one job inter-merge freely.
-pub(crate) fn compute_partial(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
-    graph: Option<&KnnGraph>,
-    spec: ShardSpec,
-    threads: usize,
-) -> Result<ShardPartial, CliError> {
-    let uniform = matches!(weight, WeightFn::Uniform);
-    match method {
-        Method::Exact => {
-            if uniform {
-                Ok(match graph {
-                    Some(g) => knnshap_core::exact_unweighted::knn_class_shapley_graph_shard(
-                        train, test, k, g, spec, threads,
-                    ),
-                    None => knnshap_core::exact_unweighted::knn_class_shapley_shard(
-                        train, test, k, spec, threads,
-                    ),
-                })
-            } else {
-                Ok(match graph {
-                    Some(g) => {
-                        knnshap_core::exact_weighted::weighted_knn_class_shapley_graph_shard(
-                            train, test, k, weight, g, spec, threads,
-                        )
-                    }
-                    None => knnshap_core::exact_weighted::weighted_knn_class_shapley_shard(
-                        train, test, k, weight, spec, threads,
-                    ),
-                })
-            }
-        }
-        Method::Truncated { eps } => {
-            if !uniform {
-                return Err(CliError::Pipeline(PipelineError::WeightedUnsupported(
-                    "Truncated",
-                )));
-            }
-            Ok(match graph {
-                Some(g) => knnshap_core::truncated::truncated_class_shapley_graph_shard(
-                    train, test, k, eps, g, spec, threads,
-                ),
-                None => knnshap_core::truncated::truncated_class_shapley_shard(
-                    train, test, k, eps, spec, threads,
-                ),
-            })
-        }
-        Method::McBaseline { rule, seed } => {
-            let budget = fixed_budget(rule)?;
-            let u = match graph {
-                Some(g) => KnnClassUtility::from_graph(train, test, k, weight, g),
-                None => KnnClassUtility::new(train, test, k, weight),
-            };
-            Ok(knnshap_core::mc::mc_shapley_baseline_shard(
-                &u, budget, seed, spec, threads,
-            ))
-        }
-        Method::McImproved { rule, seed } => {
-            let budget = fixed_budget(rule)?;
-            let inc = match graph {
-                Some(g) => IncKnnUtility::classification_from_graph(train, test, k, weight, g),
-                None => IncKnnUtility::classification(train, test, k, weight),
-            };
-            Ok(knnshap_core::mc::mc_shapley_improved_shard(
-                &inc, budget, seed, spec, threads,
-            ))
-        }
-        Method::Lsh { .. } => Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
-        Method::TruncatedTree { .. } => Err(CliError::Invalid(
-            "sharding supports exact, truncated, mc-baseline and mc-improved".into(),
-        )),
-    }
-}
-
-/// Why `--method lsh` is rejected by `shard`, `shard-plan` and the job
-/// runtime — the full explanation, not a generic "unsupported" line, because
-/// the obvious workaround (build a per-shard index) silently breaks the
-/// determinism contract. The planned sharding design for LSH is documented
-/// in `docs/sharding.md` ("Why LSH does not shard yet").
-pub(crate) const LSH_UNSHARDABLE: &str =
-    "the LSH method cannot shard by test range: its index needs whole-test-set \
-     statistics (the relative-contrast estimate that picks hash width, table \
-     count and probe schedule), so independently built per-shard indexes would \
-     answer queries differently and the merged values would not match the \
-     unsharded run. Planned design: build the index once, then stream query \
-     ranges through OnlineValuator workers — see docs/sharding.md";
-
-/// Sharded Monte Carlo needs an a-priori stream budget: the heuristic rule
-/// stops on a *sequential* criterion no shard can evaluate alone. The CLI
-/// builds `Fixed` rules whenever `--perms N` is given.
-fn fixed_budget(rule: StoppingRule) -> Result<usize, CliError> {
-    match rule {
-        StoppingRule::Fixed(t) => Ok(t),
-        _ => Err(CliError::Invalid(
-            "sharded Monte Carlo needs a fixed permutation budget: pass --perms N \
-             (the §6.2.2 heuristic stop is sequential and cannot be sharded)"
-                .into(),
-        )),
-    }
-}
 
 /// In-process sharded run for `value --shards N` / `audit --shards N`:
 /// computes each shard (round-tripping it through the wire format so the
@@ -146,35 +33,29 @@ fn fixed_budget(rule: StoppingRule) -> Result<usize, CliError> {
 pub(crate) fn run_sharded(
     train: &ClassDataset,
     test: &ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
+    estimator: Estimator,
     graph: Option<&KnnGraph>,
     shards: usize,
     threads: usize,
 ) -> Result<(knnshap_core::ShapleyValues, Option<usize>), CliError> {
+    let job = estimator.prepare(Data::Class { train, test }, graph.into())?;
     let parts: Vec<ShardPartial> = (0..shards)
         .map(|i| {
-            let p = compute_partial(
-                train,
-                test,
-                k,
-                method,
-                weight,
-                graph,
-                ShardSpec::new(i, shards),
-                threads,
-            )?;
+            let p = job.partial(ShardSpec::new(i, shards), threads);
             ShardPartial::from_bytes(&p.to_bytes()).map_err(CliError::Shard)
         })
         .collect::<Result<_, _>>()?;
     let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    let perms = matches!(
-        parts[0].meta.kind,
-        ShardKind::McBaseline | ShardKind::McImproved
-    )
-    .then_some(merged.items as usize);
+    let perms = is_mc(estimator).then_some(merged.items as usize);
     Ok((merged.values, perms))
+}
+
+/// The families whose reports carry a permutation-throughput line.
+fn is_mc(estimator: Estimator) -> bool {
+    matches!(
+        estimator.family,
+        Family::McBaseline { .. } | Family::McImproved { .. }
+    )
 }
 
 const SHARD_ALLOWED: &[&str] = &[
@@ -199,6 +80,7 @@ const SHARD_ALLOWED: &[&str] = &[
 pub fn run_shard(args: &Args) -> Result<String, CliError> {
     args.expect_only(SHARD_ALLOWED)?;
     let k = super::parse_k(args)?;
+    let estimator = parse_estimator(args, Task::Class, k, 0)?;
     let (train, test) = load_pair(args)?;
     args.require("shard-index")?;
     args.require("shard-count")?;
@@ -211,20 +93,16 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
     }
     let out = args.require("out")?.to_string();
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let method = parse_method(args)?;
-    let weight = parse_weight(args)?;
     let graph = super::load_graph(args, &train.x, &test.x)?;
 
-    let partial = compute_partial(
-        &train,
-        &test,
-        k,
-        method,
-        weight,
-        graph.as_ref(),
-        ShardSpec::new(index, count),
-        threads,
+    let job = estimator.prepare(
+        Data::Class {
+            train: &train,
+            test: &test,
+        },
+        graph.as_ref().into(),
     )?;
+    let partial = job.partial(ShardSpec::new(index, count), threads);
     let bytes = partial.to_bytes();
     std::fs::write(Path::new(&out), &bytes).map_err(knnshap_datasets::io::IoError::Io)?;
 
@@ -240,45 +118,6 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
         m.n_train,
         bytes.len(),
     ))
-}
-
-/// The shard kind and job fingerprint the given datasets + arguments WOULD
-/// produce — `merge` compares this against what the shard files claim.
-/// `None` for methods that cannot shard (their kind check would already have
-/// failed at shard time).
-fn expected_job(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
-) -> Result<Option<(ShardKind, u64)>, CliError> {
-    Ok(match method {
-        Method::Exact => Some((
-            ShardKind::ExactClass,
-            if matches!(weight, WeightFn::Uniform) {
-                knnshap_core::exact_unweighted::class_fingerprint(train, test, k)
-            } else {
-                knnshap_core::exact_weighted::weighted_class_fingerprint(train, test, k, weight)
-            },
-        )),
-        Method::Truncated { eps } => Some((
-            ShardKind::Truncated,
-            knnshap_core::truncated::truncated_fingerprint(train, test, k, eps),
-        )),
-        // Dataset-content fingerprints: cross-checking an MC merge no longer
-        // rebuilds the O(N · N_test) distance matrix (the utilities hash the
-        // dataset contents the matrix is derived from).
-        Method::McBaseline { seed, .. } => Some((
-            ShardKind::McBaseline,
-            knnshap_core::mc::mc_baseline_class_fingerprint(train, test, k, weight, seed),
-        )),
-        Method::McImproved { seed, .. } => Some((
-            ShardKind::McImproved,
-            knnshap_core::mc::mc_improved_class_fingerprint(train, test, k, weight, seed),
-        )),
-        Method::TruncatedTree { .. } | Method::Lsh { .. } => None,
-    })
 }
 
 const MERGE_ALLOWED: &[&str] = &[
@@ -315,62 +154,59 @@ pub fn run_merge(args: &Args) -> Result<String, CliError> {
         let bytes = std::fs::read(Path::new(path)).map_err(knnshap_datasets::io::IoError::Io)?;
         parts.push(ShardPartial::from_bytes(&bytes).map_err(CliError::Shard)?);
     }
+    // The shard files pin the stream budget, so `--perms` may be omitted.
+    let budget = parts.first().map_or(0, |p| p.meta.total_items as usize);
+    let estimator = parse_estimator(args, Task::Class, k, budget)?;
+    // Recompute the job identity from THIS invocation's datasets and
+    // arguments and require it to match the shards', so a `merge` run with a
+    // different --k/--method/--seed/--weight/--perms (or a swapped CSV of
+    // the same size) fails loudly instead of rendering a mislabeled report
+    // over someone else's numbers.
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
+    let id = estimator.prepare(data, Source::Brute)?.identity();
     if let Some(p) = parts.first() {
-        if p.meta.n_train != train.len() as u64 {
+        let m = &p.meta;
+        if m.n_train != id.n_train {
             return Err(CliError::Invalid(format!(
                 "shards value {} training points but --train has {}",
-                p.meta.n_train,
-                train.len()
+                m.n_train, id.n_train
             )));
         }
-        let per_test = matches!(
-            p.meta.kind,
-            ShardKind::ExactClass | ShardKind::ExactReg | ShardKind::Truncated
-        );
-        if per_test && p.meta.total_items != test.len() as u64 {
+        if m.kind != id.kind {
             return Err(CliError::Invalid(format!(
-                "shards cover {} test points but --test has {}",
-                p.meta.total_items,
-                test.len()
+                "shards were produced by the {} estimator but merge was invoked \
+                 for {} — pass the same --method the shards were built with",
+                m.kind.name(),
+                id.kind.name(),
             )));
         }
-        // Recompute the job identity from THIS invocation's datasets and
-        // arguments and require it to match the shards', so a `merge` run
-        // with a different --k/--method/--seed/--weight (or a swapped CSV of
-        // the same size) fails loudly instead of rendering a mislabeled
-        // report over someone else's numbers.
-        if let Some((kind, fingerprint)) =
-            expected_job(&train, &test, k, parse_method(args)?, parse_weight(args)?)?
-        {
-            if p.meta.kind != kind {
-                return Err(CliError::Invalid(format!(
-                    "shards were produced by the {} estimator but merge was invoked \
-                     for {} — pass the same --method the shards were built with",
-                    p.meta.kind.name(),
-                    kind.name(),
-                )));
-            }
-            if p.meta.fingerprint != fingerprint {
-                return Err(CliError::Invalid(format!(
-                    "shards carry job fingerprint {:016x} but these datasets and \
-                     arguments produce {fingerprint:016x} — the merge invocation \
-                     disagrees with the shard invocations on --k, --seed, --eps, \
-                     --weight, or the train/test CSV contents",
-                    p.meta.fingerprint,
-                )));
-            }
+        if m.total_items != id.total_items {
+            return Err(CliError::Invalid(format!(
+                "shards cover {} items but these datasets and arguments make {} — \
+                 pass the --test file and --perms the shards were built with",
+                m.total_items, id.total_items
+            )));
+        }
+        if m.fingerprint != id.fingerprint {
+            return Err(CliError::Invalid(format!(
+                "shards carry job fingerprint {:016x} but these datasets and \
+                 arguments produce {:016x} — the merge invocation disagrees with \
+                 the shard invocations on --k, --seed, --eps, --weight, or the \
+                 train/test CSV contents",
+                m.fingerprint, id.fingerprint,
+            )));
         }
     }
-    let is_mc = parts
-        .first()
-        .is_some_and(|p| matches!(p.meta.kind, ShardKind::McBaseline | ShardKind::McImproved));
     let started = std::time::Instant::now();
     let merged = merge_partials(&parts).map_err(CliError::Shard)?;
     let secs = started.elapsed().as_secs_f64();
     let sv = merged.values;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let mc_line =
-        is_mc.then(|| crate::commands::mc_throughput_line(merged.items as usize, secs, threads));
+    let mc_line = is_mc(estimator)
+        .then(|| crate::commands::mc_throughput_line(merged.items as usize, secs, threads));
 
     let payout = match args.f64_opt("revenue")? {
         Some(revenue) => {
@@ -541,6 +377,79 @@ mod tests {
             crate::run(shard_argv(&t, &q, &out, 0, 2, &["--method", "mc-improved"])).unwrap_err();
         assert!(err.to_string().contains("--perms"), "{err}");
         std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
+    fn group_testing_shards_merge_to_the_library_values() {
+        // `shard`/`merge` share `shard-plan`'s --method parser, so the
+        // group-testing baseline shards too; `merge` may omit --perms (the
+        // shard files pin the budget) and must land on the unsharded bits.
+        let (t, q) = csv_pair("shardgt", 20, 4);
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let paths: Vec<_> = (0..2)
+            .map(|i| dir.join(format!("knnshap-cli-{pid}-gt{i}.shard")))
+            .collect();
+        let gt_args = ["--k", "2", "--method", "group-testing", "--seed", "3"];
+        for (i, p) in paths.iter().enumerate() {
+            let args = [&gt_args[..], &["--perms", "80"]].concat();
+            crate::run(shard_argv(&t, &q, p, i, 2, &args)).unwrap();
+        }
+        let inputs = format!("{},{}", paths[0].display(), paths[1].display());
+        let merged_csv = dir.join(format!("knnshap-cli-{pid}-gt-merged.csv"));
+        let mut merge_args = vec![
+            "merge".to_string(),
+            "--train".into(),
+            t.to_str().unwrap().into(),
+            "--test".into(),
+            q.to_str().unwrap().into(),
+            "--inputs".into(),
+            inputs,
+            "--out".into(),
+            merged_csv.to_str().unwrap().into(),
+        ];
+        merge_args.extend(gt_args.iter().map(|s| s.to_string()));
+        crate::run(merge_args).unwrap();
+
+        let train = knnshap_datasets::io::load_class_csv(&t).unwrap();
+        let test = knnshap_datasets::io::load_class_csv(&q).unwrap();
+        let u = knnshap_core::utility::KnnClassUtility::unweighted(&train, &test, 2);
+        let want = knnshap_core::group_testing::group_testing_shapley(&u, 80, 3).values;
+
+        // `value --shards` reaches the same family through the same parser.
+        let inproc_csv = dir.join(format!("knnshap-cli-{pid}-gt-inproc.csv"));
+        let mut value_args = vec![
+            "value".to_string(),
+            "--train".into(),
+            t.to_str().unwrap().into(),
+            "--test".into(),
+            q.to_str().unwrap().into(),
+            "--shards".into(),
+            "2".into(),
+            "--perms".into(),
+            "80".into(),
+            "--out".into(),
+            inproc_csv.to_str().unwrap().into(),
+        ];
+        value_args.extend(gt_args.iter().map(|s| s.to_string()));
+        crate::run(value_args).unwrap();
+
+        for path in [&merged_csv, &inproc_csv] {
+            let csv = std::fs::read_to_string(path).unwrap();
+            assert_eq!(csv.lines().count(), train.len() + 1, "{}", path.display());
+            for (line, i) in csv.lines().skip(1).zip(0..) {
+                let got: f64 = line.rsplit(',').next().unwrap().parse().unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    want.get(i).to_bits(),
+                    "{} point {i}",
+                    path.display()
+                );
+            }
+        }
+        for p in paths.iter().chain([&merged_csv, &inproc_csv]) {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::commands::{load_pair, parse_k, parse_method, parse_weight};
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
+use knnshap_core::estimator::Task;
 use knnshap_core::pipeline::KnnShapley;
 use knnshap_core::ShapleyValues;
 use knnshap_datasets::ClassDataset;
@@ -38,8 +39,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
     let k = parse_k(args)?;
     let (train, test) = load_pair(args)?;
-    let method = parse_method(args)?;
-    let weight = parse_weight(args)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
     let top = args.usize_or("top", 10)?;
     let shards = args.usize_or("shards", 0)?;
@@ -51,21 +50,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let (sv, permutations) = if shards > 0 {
         // In-process sharded run: N partials through the wire format, then
         // the deterministic merge — bitwise-identical to the unsharded path.
-        super::shard::run_sharded(
-            &train,
-            &test,
-            k,
-            method,
-            weight,
-            graph.as_ref(),
-            shards,
-            threads,
-        )?
+        let estimator = super::parse_estimator(args, Task::Class, k, 0)?;
+        super::shard::run_sharded(&train, &test, estimator, graph.as_ref(), shards, threads)?
     } else {
         let mut builder = KnnShapley::new(&train, &test)
             .k(k)
-            .weight(weight)
-            .method(method)
+            .weight(parse_weight(args)?)
+            .method(parse_method(args)?)
             .threads(threads)
             .adaptive(adaptive);
         if let Some(g) = &graph {

@@ -84,6 +84,18 @@ impl From<knnshap_core::pipeline::PipelineError> for CliError {
     }
 }
 
+/// An estimator's refusal: a parameter rule is a command-line error, an
+/// input check (dimensions, non-finite features, graph drift) the same
+/// error the pipeline reports.
+impl From<knnshap_core::estimator::EstimatorError> for CliError {
+    fn from(e: knnshap_core::estimator::EstimatorError) -> Self {
+        match e {
+            knnshap_core::estimator::EstimatorError::Unsupported(m) => CliError::Invalid(m),
+            knnshap_core::estimator::EstimatorError::Input(e) => CliError::Pipeline(e),
+        }
+    }
+}
+
 impl From<knnshap_runtime::JobError> for CliError {
     fn from(e: knnshap_runtime::JobError) -> Self {
         CliError::Runtime(e)
@@ -122,8 +134,8 @@ COMMANDS
             to a self-describing binary file (see docs/sharding.md)
             --train FILE --test FILE --shard-index I --shard-count N
             --out FILE [--k 1] [--method exact|truncated|mc-baseline|
-            mc-improved] [--perms N] [--seed 42] [--eps 0.1] [--threads N]
-            [--graph FILE]
+            mc-improved|group-testing] [--perms N] [--seed 42] [--eps 0.1]
+            [--threads N] [--graph FILE]
   merge     merge a full set of shard files; bitwise-identical to the
             unsharded `value` run (same report, same --out CSV). Repeat the
             job-defining options the shards were built with — the merge

@@ -322,3 +322,169 @@ fn every_k_taking_subcommand_refuses_k_zero_before_loading_data() {
         assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
     }
 }
+
+/// Synthesizes a small train/test pair and poisons test row 1 with a NaN
+/// feature; returns the paths (cleaned up with the returned guard).
+fn nan_pair(tag: &str) -> (PathBuf, PathBuf, TempFiles) {
+    let train = temp_path(&format!("{tag}_train.csv"));
+    let test = temp_path(&format!("{tag}_test.csv"));
+    knnshap_cli::run([
+        "synth",
+        "--kind",
+        "blobs",
+        "--n",
+        "30",
+        "--dim",
+        "3",
+        "--classes",
+        "2",
+        "--seed",
+        "4",
+        "--out",
+        train.to_str().unwrap(),
+        "--queries",
+        "5",
+        "--queries-out",
+        test.to_str().unwrap(),
+    ])
+    .expect("synth");
+    let text = std::fs::read_to_string(&test).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let rest = lines[1].split_once(',').unwrap().1.to_string();
+    lines[1] = format!("NaN,{rest}");
+    std::fs::write(&test, lines.join("\n") + "\n").unwrap();
+    let guard = TempFiles(vec![train.clone(), test.clone()]);
+    (train, test, guard)
+}
+
+#[test]
+fn sharded_paths_refuse_non_finite_features() {
+    // Every sharded entry runs the estimator's input checks: exit 1 with the
+    // pipeline's message, never a panic (exit 101) deep in a distance sort,
+    // and never a plan whose workers would respawn into that panic.
+    let (train, test, _guard) = nan_pair("nan");
+    let out = temp_path("nan.shard");
+    let job = temp_path("nan_job");
+    let shard = ["--shard-index", "0", "--shard-count", "2", "--out"];
+    let out = out.to_str().unwrap();
+    let cases: [(&str, Vec<&str>); 7] = [
+        ("shard", [&shard[..], &[out]].concat()),
+        (
+            "shard",
+            [&shard[..], &[out, "--method", "truncated"]].concat(),
+        ),
+        (
+            "shard",
+            [
+                &shard[..],
+                &[out, "--method", "mc-improved", "--perms", "20"],
+            ]
+            .concat(),
+        ),
+        ("value", vec!["--shards", "2"]),
+        ("value", vec!["--shards", "2", "--method", "truncated"]),
+        ("audit", vec!["--shards", "2"]),
+        (
+            "shard-plan",
+            vec!["--shards", "2", "--job", job.to_str().unwrap()],
+        ),
+    ];
+    for (cmd, extra) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_knnshap"))
+            .args([cmd, "--train", train.to_str().unwrap()])
+            .args(["--test", test.to_str().unwrap(), "--k", "2"])
+            .args(&extra)
+            .output()
+            .expect("spawn knnshap");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{cmd} {extra:?}: {stderr}");
+        assert!(
+            stderr.contains("test row 1 contains a NaN/infinite feature"),
+            "{cmd} {extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd} {extra:?}: {stderr}");
+    }
+    assert!(!job.join("plan").exists(), "no plan for a poisoned dataset");
+    std::fs::remove_dir_all(&job).ok();
+}
+
+#[test]
+fn merge_refuses_lsh_like_shard() {
+    // `merge --method lsh` used to skip the job-identity check and print a
+    // report labelled `method = lsh` over exact shards; the shared --method
+    // parser now refuses it with the same explanation `shard` gives.
+    let (train, test) = (temp_path("lsh_train.csv"), temp_path("lsh_test.csv"));
+    let parts = [temp_path("lsh0.shard"), temp_path("lsh1.shard")];
+    let _cleanup = TempFiles(
+        [train.clone(), test.clone()]
+            .into_iter()
+            .chain(parts.iter().cloned())
+            .collect(),
+    );
+    let (t, q) = (train.to_str().unwrap(), test.to_str().unwrap());
+    knnshap_cli::run([
+        "synth",
+        "--kind",
+        "blobs",
+        "--n",
+        "30",
+        "--dim",
+        "3",
+        "--classes",
+        "2",
+        "--out",
+        t,
+        "--queries",
+        "5",
+        "--queries-out",
+        q,
+    ])
+    .expect("synth");
+    for (i, p) in parts.iter().enumerate() {
+        let index = i.to_string();
+        knnshap_cli::run([
+            "shard",
+            "--train",
+            t,
+            "--test",
+            q,
+            "--k",
+            "2",
+            "--shard-index",
+            &index,
+            "--shard-count",
+            "2",
+            "--out",
+            p.to_str().unwrap(),
+        ])
+        .expect("exact shard");
+    }
+    let inputs = format!("{},{}", parts[0].display(), parts[1].display());
+    for cmd in [
+        vec!["merge", "--inputs", &inputs],
+        vec![
+            "shard",
+            "--shard-index",
+            "0",
+            "--shard-count",
+            "2",
+            "--out",
+            &inputs,
+        ],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_knnshap"))
+            .args(&cmd)
+            .args(["--train", t, "--test", q, "--k", "2", "--method", "lsh"])
+            .output()
+            .expect("spawn knnshap");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{cmd:?}: {stderr}");
+        assert!(stderr.contains("whole-test-set"), "{cmd:?}: {stderr}");
+        assert!(stderr.contains("docs/sharding.md"), "{cmd:?}: {stderr}");
+    }
+    // The same shards still merge under the method they were built with.
+    knnshap_cli::run([
+        "merge", "--train", t, "--test", q, "--k", "2", "--inputs", &inputs,
+    ])
+    .expect("exact merge");
+}

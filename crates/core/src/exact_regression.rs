@@ -22,11 +22,10 @@
 //! `s_i = −(y_i/K)(y_i/K − 2 y_test + (1/K) Σ_{l≠i} y_l) − y_test²/N`
 //! (derived in the same way, validated against enumeration) is used instead.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::Source;
 use crate::types::ShapleyValues;
 use knnshap_datasets::RegDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
 use knnshap_numerics::exact::ExactVec;
 
@@ -62,9 +61,9 @@ fn accumulate_single<S: FnMut(usize, f64)>(
     accumulate_ranked(train, &ranked, test_target, k, sink);
 }
 
-/// The recursion over an already-computed distance ranking — the seam the
-/// graph-backed path enters through (`ranked` is ignored for the
-/// single-player closed form).
+/// The recursion over an already-computed distance ranking, whichever
+/// [`Source`] produced it (`ranked` is ignored for the single-player closed
+/// form).
 fn accumulate_ranked<S: FnMut(usize, f64)>(
     train: &RegDataset,
     ranked: &[Neighbor],
@@ -142,127 +141,41 @@ fn accumulate_ranked<S: FnMut(usize, f64)>(
     }
 }
 
-/// Exact partial sums over one canonical shard of the test range
-/// (regression analogue of
-/// [`crate::exact_unweighted::knn_class_shapley_shard`]; same determinism
-/// contract: merging a full shard set reproduces
-/// [`knn_reg_shapley_with_threads`] bit for bit, at every shard and thread
-/// count).
+/// The Theorem 6 fold behind [`crate::estimator`]'s exact-regression
+/// partials: exact sums of the per-test Shapley vectors of test points
+/// `range`, with rankings from `source` (same determinism contract as
+/// [`crate::exact_unweighted::knn_class_shapley_with_threads`]: merging a
+/// full shard set reproduces [`knn_reg_shapley_with_threads`] bit for bit,
+/// at every shard and thread count).
 ///
 /// ```
-/// use knnshap_core::exact_regression::{knn_reg_shapley, knn_reg_shapley_shard};
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::exact_regression::knn_reg_shapley;
 /// use knnshap_core::sharding::{merge_partials, ShardSpec};
 /// use knnshap_datasets::synth::regression::{self, RegressionConfig};
+/// use knnshap_knn::weights::WeightFn;
 ///
 /// let cfg = RegressionConfig { n: 30, ..Default::default() };
 /// let (train, test) = (regression::generate(&cfg), regression::queries(&cfg, 5));
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| knn_reg_shapley_shard(&train, &test, 2, ShardSpec::new(i, 2), 1))
-///     .collect();
+/// let est = Estimator { task: Task::Reg, k: 2, weight: WeightFn::Uniform, family: Family::Exact, seed: 0 };
+/// let job = est.prepare(Data::Reg { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..2).map(|i| job.partial(ShardSpec::new(i, 2), 1)).collect();
 /// let merged = merge_partials(&parts).unwrap().values;
 /// let whole = knn_reg_shapley(&train, &test, 2);
 /// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
 /// ```
-pub fn knn_reg_shapley_shard(
+pub(crate) fn knn_reg_shapley_shard(
     train: &RegDataset,
     test: &RegDataset,
     k: usize,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, range.clone(), threads);
-    let fingerprint = reg_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactReg,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the exact-regression family.
-pub fn reg_fingerprint(train: &RegDataset, test: &RegDataset, k: usize) -> u64 {
-    Fingerprint::new("exact-reg")
-        .u64(k as u64)
-        .u64(crate::sharding::hash_reg_dataset(train))
-        .u64(crate::sharding::hash_reg_dataset(test))
-        .finish()
-}
-
-fn shard_sums(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
+    source: Source<'_>,
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
     crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        accumulate_single(train, test.x.row(j), test.y[j], k, |i, s| acc.add(i, s));
+        let ranked = source.ranking(&train.x, &test.x, j);
+        accumulate_ranked(train, &ranked, test.y[j], k, |i, s| acc.add(i, s));
     })
-}
-
-/// [`knn_reg_shapley_shard`] fed by a precomputed graph: same kind, same
-/// fingerprint, same bits as the brute-force shard (see
-/// [`crate::exact_unweighted::knn_class_shapley_graph_shard`] for the
-/// contract). Panics if the graph was not built from `(train.x, test.x)`.
-pub fn knn_reg_shapley_graph_shard(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, graph, range.clone(), threads);
-    let fingerprint = reg_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactReg,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn graph_shard_sums(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| acc.add(i, s));
-    })
-}
-
-/// [`knn_reg_shapley_with_threads`] fed by a precomputed graph: skips the
-/// distance pass, returns the same bits.
-pub fn knn_reg_shapley_from_graph(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 
 /// Exact regression SVs w.r.t. a test set, averaged over test points with
@@ -275,7 +188,7 @@ pub fn knn_reg_shapley_with_threads(
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
     assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let sums = shard_sums(train, test, k, 0..test.len(), threads);
+    let sums = knn_reg_shapley_shard(train, test, k, Source::Brute, 0..test.len(), threads);
     crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 

@@ -22,15 +22,14 @@
 //! pure function of the test-point multiset: bitwise-identical for every
 //! thread count **and** for every sharding of the test range — the same
 //! additivity decomposition that justifies averaging also makes any
-//! contiguous test-point range ([`knn_class_shapley_shard`]) an independent
-//! unit of work whose merged result reproduces the unsharded bits (see
+//! contiguous test-point range an independent unit of work whose merged
+//! result reproduces the unsharded bits (see [`crate::estimator`] and
 //! [`crate::sharding`]).
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::Source;
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
 use knnshap_numerics::exact::ExactVec;
 
@@ -99,9 +98,8 @@ fn accumulate_single<S: FnMut(usize, f64)>(
     accumulate_ranked(train, &ranked, test_label, k, sink);
 }
 
-/// The recursion over an already-computed distance ranking — the seam the
-/// graph-backed path enters through. The brute-force path above funnels into
-/// this too, so both execute the identical float sequence.
+/// The recursion over an already-computed distance ranking — whichever
+/// [`Source`] produced it, the same float sequence runs.
 fn accumulate_ranked<S: FnMut(usize, f64)>(
     train: &ClassDataset,
     ranked: &[Neighbor],
@@ -119,69 +117,39 @@ fn accumulate_ranked<S: FnMut(usize, f64)>(
     );
 }
 
-/// Exact partial sums over one canonical shard of the test range, folded
-/// with `threads` workers into exact accumulators.
+/// The Theorem 1 fold behind [`crate::estimator`]'s exact-classification
+/// partials: exact sums of the per-test Shapley vectors of test points
+/// `range`, with rankings from `source`, folded by `threads` workers.
 ///
 /// ### Determinism contract
 ///
-/// The shard's partial state depends only on `(train, test, k)` and the
-/// shard's item range — not on `threads`, and not on how the rest of the
-/// job is sharded. Merging the partials of any full shard set with
+/// The sums depend only on `(train, test, k)` and `range` — not on
+/// `threads`, not on the source, and not on how the rest of the job is
+/// sharded. Merging the partials of any full shard set with
 /// [`crate::sharding::merge_partials`] reproduces
 /// [`knn_class_shapley_with_threads`] bit for bit.
 ///
 /// ```
-/// use knnshap_core::exact_unweighted::{knn_class_shapley, knn_class_shapley_shard};
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::exact_unweighted::knn_class_shapley;
 /// use knnshap_core::sharding::{merge_partials, ShardSpec};
 /// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+/// use knnshap_knn::weights::WeightFn;
 ///
 /// let cfg = BlobConfig { n: 40, dim: 3, n_classes: 2, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 7, 1));
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| knn_class_shapley_shard(&train, &test, 1, ShardSpec::new(i, 2), 1))
-///     .collect();
+/// let est = Estimator { task: Task::Class, k: 1, weight: WeightFn::Uniform, family: Family::Exact, seed: 0 };
+/// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..2).map(|i| job.partial(ShardSpec::new(i, 2), 1)).collect();
 /// let merged = merge_partials(&parts).unwrap().values;
 /// let whole = knn_class_shapley(&train, &test, 1);
 /// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
 /// ```
-pub fn knn_class_shapley_shard(
+pub(crate) fn knn_class_shapley_shard(
     train: &ClassDataset,
     test: &ClassDataset,
     k: usize,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, range.clone(), threads);
-    let fingerprint = class_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the unweighted exact-classification family — also
-/// recomputed by the CLI `merge` to cross-check shard files against the
-/// datasets and parameters it was invoked with.
-pub fn class_fingerprint(train: &ClassDataset, test: &ClassDataset, k: usize) -> u64 {
-    Fingerprint::new("exact-class")
-        .u64(k as u64)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-/// The shared fold both the shard entry point and the unsharded driver use.
-fn shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
+    source: Source<'_>,
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
@@ -190,76 +158,9 @@ fn shard_sums(
     // completely and the fold deposits it linearly (same bits, see
     // `exact_sums_over_dense`).
     crate::sharding::exact_sums_over_dense(train.len(), range, threads, |j, scratch| {
-        accumulate_single(train, test.x.row(j), test.y[j], k, |i, s| scratch[i] = s);
+        let ranked = source.ranking(&train.x, &test.x, j);
+        accumulate_ranked(train, &ranked, test.y[j], k, |i, s| scratch[i] = s);
     })
-}
-
-/// [`knn_class_shapley_shard`] fed by a precomputed graph instead of a
-/// fresh distance pass.
-///
-/// The graph stores exactly the ranking [`argsort_by_distance`] produces
-/// (same per-pair arithmetic, same tie-break), so the partial — and any
-/// merge it participates in — is bitwise-identical to the brute-force
-/// shard's, and carries the *same* kind and fingerprint: graph-backed and
-/// brute-force partials of one job inter-merge freely.
-///
-/// Panics if the graph was not built from exactly `(train.x, test.x)`; CLI
-/// entry points validate first and report a proper error.
-pub fn knn_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, graph, range.clone(), threads);
-    let fingerprint = class_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The graph-backed fold: identical to [`shard_sums`] except each test
-/// point's ranking comes from the artifact instead of an argsort.
-fn graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over_dense(train.len(), range, threads, |j, scratch| {
-        accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| scratch[i] = s);
-    })
-}
-
-/// [`knn_class_shapley_with_threads`] fed by a precomputed graph: skips the
-/// O(N·N_test·d) distance pass, returns the same bits.
-pub fn knn_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 
 /// Exact SVs w.r.t. a whole test set (utility eq. 8): the average of the
@@ -272,7 +173,7 @@ pub fn knn_class_shapley_with_threads(
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
     assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let sums = shard_sums(train, test, k, 0..test.len(), threads);
+    let sums = knn_class_shapley_shard(train, test, k, Source::Brute, 0..test.len(), threads);
     crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 

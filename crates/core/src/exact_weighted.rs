@@ -30,13 +30,14 @@
 //! `s_{α_i} = s_{α_{i+1}} + Δ`, which is what we implement.
 
 use crate::composite::GameForm;
+use crate::estimator::Source;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
 use knnshap_knn::weights::WeightFn;
 use knnshap_numerics::binom::{Combinations, LogFactorialTable};
+use knnshap_numerics::exact::ExactVec;
 
 /// Which estimate the weighted utility scores.
 enum Task<'a> {
@@ -277,10 +278,9 @@ pub(crate) fn weighted_class_shapley_form(
     weighted_class_shapley_ranked_form(train, &ranked, test_label, k, weight, form)
 }
 
-/// [`weighted_class_shapley_form`] over an already-computed ranking — the
-/// seam the graph-backed path enters through. The stored graph distances
-/// are bitwise-identical squared-L2 values, so `sqrt` here produces the
-/// exact floats the brute-force path feeds the recursion.
+/// [`weighted_class_shapley_form`] over an already-computed ranking from any
+/// [`Source`]. A graph stores bitwise-identical squared-L2 values, so `sqrt`
+/// here produces the exact floats the brute-force path feeds the recursion.
 fn weighted_class_shapley_ranked_form(
     train: &ClassDataset,
     ranked: &[Neighbor],
@@ -359,8 +359,8 @@ pub fn weighted_knn_reg_shapley_single(
 
 /// Multi-test weighted classification SVs (average of per-test games),
 /// parallelized over test points into exact accumulators — bitwise-identical
-/// at every thread count and reproducible by any full shard set from
-/// [`weighted_knn_class_shapley_shard`].
+/// at every thread count and reproducible by any full shard set of the
+/// weighted [`crate::estimator::Family::Exact`] estimator.
 pub fn weighted_knn_class_shapley(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -369,182 +369,87 @@ pub fn weighted_knn_class_shapley(
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
-    let sums = class_shard_sums(train, test, k, weight, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// Weighted-classification partial sums over one canonical shard of the test
-/// range (Theorem 7 rides the same per-test additivity decomposition as
-/// Theorem 1, so the shard/merge determinism contract of
-/// [`crate::sharding`] applies unchanged).
-pub fn weighted_knn_class_shapley_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    spec: crate::sharding::ShardSpec,
-    threads: usize,
-) -> crate::sharding::ShardPartial {
-    use crate::sharding::{ShardKind, ShardPartial};
-    assert!(!test.is_empty(), "need at least one test point");
-    let range = spec.range(test.len());
-    let sums = class_shard_sums(train, test, k, weight, range.clone(), threads);
-    let fingerprint = weighted_class_fingerprint(train, test, k, weight);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the weighted exact-classification family (shares
-/// the `ExactClass` kind with the unweighted algorithm; the weight function
-/// is part of the hash, so the two never merge together).
-pub fn weighted_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-) -> u64 {
-    let (wtag, wparam) = crate::sharding::weight_code(weight);
-    crate::sharding::Fingerprint::new("exact-class")
-        .u64(k as u64)
-        .u64(wtag)
-        .f64(wparam)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-fn class_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> knnshap_numerics::exact::ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let per_test =
-            weighted_knn_class_shapley_single(train, test.x.row(j), test.y[j], k, weight);
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`weighted_knn_class_shapley_shard`] fed by a precomputed graph: same
-/// kind, same fingerprint, same bits as the brute-force shard. Panics if
-/// the graph was not built from `(train.x, test.x)`.
-pub fn weighted_knn_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    spec: crate::sharding::ShardSpec,
-    threads: usize,
-) -> crate::sharding::ShardPartial {
-    use crate::sharding::{ShardKind, ShardPartial};
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = class_graph_shard_sums(train, test, k, weight, graph, range.clone(), threads);
-    let fingerprint = weighted_class_fingerprint(train, test, k, weight);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn class_graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> knnshap_numerics::exact::ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let (per_test, _) = weighted_class_shapley_ranked_form(
-            train,
-            graph.list(j),
-            test.y[j],
-            k,
-            weight,
-            GameForm::DataOnly,
-        );
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`weighted_knn_class_shapley`] fed by a precomputed graph: skips the
-/// distance pass, returns the same bits.
-pub fn weighted_knn_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = class_graph_shard_sums(train, test, k, weight, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// [`weighted_knn_reg_shapley`] fed by a precomputed graph.
-pub fn weighted_knn_reg_shapley_from_graph(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
     let n_test = test.len();
-    let sums = crate::sharding::exact_sums_over(train.len(), 0..n_test, threads, |j, acc| {
-        let (per_test, _) = weighted_reg_shapley_ranked_form(
-            train,
-            graph.list(j),
-            test.y[j],
-            k,
-            weight,
-            GameForm::DataOnly,
-        );
-        acc.add_dense(per_test.as_slice());
-    });
+    let sums =
+        weighted_knn_class_shapley_shard(train, test, k, weight, Source::Brute, 0..n_test, threads);
     crate::sharding::finalize_mean(&sums, n_test as u64)
 }
 
-/// Multi-test weighted regression SVs (exact accumulation; same thread- and
-/// shard-invariance contract as [`weighted_knn_class_shapley`]).
+/// The Theorem 7 fold behind [`crate::estimator`]'s weighted
+/// exact-classification partials: exact sums over test points `range`, with
+/// rankings from `source`. Theorem 7 rides the same per-test additivity
+/// decomposition as Theorem 1, so the shard/merge determinism contract of
+/// [`crate::sharding`] applies unchanged.
+pub(crate) fn weighted_knn_class_shapley_shard(
+    train: &ClassDataset,
+    test: &ClassDataset,
+    k: usize,
+    weight: WeightFn,
+    source: Source<'_>,
+    range: std::ops::Range<usize>,
+    threads: usize,
+) -> ExactVec {
+    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
+        let ranked = source.ranking(&train.x, &test.x, j);
+        let (per_test, _) = weighted_class_shapley_ranked_form(
+            train,
+            &ranked,
+            test.y[j],
+            k,
+            weight,
+            GameForm::DataOnly,
+        );
+        acc.add_dense(per_test.as_slice());
+    })
+}
+
+/// Multi-test weighted regression SVs with rankings from `source` (exact
+/// accumulation; same thread-invariance contract as
+/// [`weighted_knn_class_shapley`], and graph-backed runs return the same
+/// bits). No shard kind covers this game: sharded regression is the
+/// unweighted Theorem 6 family.
+///
+/// # Panics
+/// If `test` is empty, or if a [`Source::Graph`] was not built from exactly
+/// these train and test features.
 pub fn weighted_knn_reg_shapley(
     train: &RegDataset,
     test: &RegDataset,
     k: usize,
     weight: WeightFn,
+    source: Source<'_>,
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
+    if let Source::Graph(g) = source {
+        g.validate_against(&train.x, &test.x)
+            .expect("graph/dataset mismatch");
+    }
+    weighted_reg_shapley_checked(train, test, k, weight, source, threads)
+}
+
+/// [`weighted_knn_reg_shapley`] for callers that have already validated the
+/// inputs (the pipeline runs the shared checks first), so a graph's
+/// feature hash is not recomputed.
+pub(crate) fn weighted_reg_shapley_checked(
+    train: &RegDataset,
+    test: &RegDataset,
+    k: usize,
+    weight: WeightFn,
+    source: Source<'_>,
+    threads: usize,
+) -> ShapleyValues {
     let n_test = test.len();
     let sums = crate::sharding::exact_sums_over(train.len(), 0..n_test, threads, |j, acc| {
-        let per_test = weighted_knn_reg_shapley_single(train, test.x.row(j), test.y[j], k, weight);
+        let ranked = source.ranking(&train.x, &test.x, j);
+        let (per_test, _) = weighted_reg_shapley_ranked_form(
+            train,
+            &ranked,
+            test.y[j],
+            k,
+            weight,
+            GameForm::DataOnly,
+        );
         acc.add_dense(per_test.as_slice());
     });
     crate::sharding::finalize_mean(&sums, n_test as u64)

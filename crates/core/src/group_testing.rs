@@ -27,11 +27,8 @@
 //! *relative*: its exact algorithm beats the best generic SV estimators.
 //! This module is that generic competitor, wired into the Fig. 6 harness.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardMeta, ShardPartial, ShardSpec};
 use crate::types::ShapleyValues;
-use crate::utility::{KnnClassUtility, Utility};
-use knnshap_datasets::ClassDataset;
-use knnshap_knn::weights::WeightFn;
+use crate::utility::Utility;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
 use knnshap_numerics::sampling::{identity_shuffle, RngStreams};
 use rand::Rng;
@@ -125,12 +122,42 @@ fn eval_test<U: Utility + ?Sized>(
     (k, u.eval(&pool[..k]))
 }
 
-/// The shared fold of the unsharded estimator, the shard entry point and the
-/// adaptive scheduler: exact per-point/shared accumulators over
-/// coalition-test streams `range`, tiled per `plan` (`None` ⇒ the static
-/// blocks-per-thread default). The tiling is bitwise-free: accumulators are
-/// exact, so every block partition deposits the same multiset of summands.
-fn shard_sums<U: Utility + ?Sized>(
+/// The shared fold of the unsharded estimator, [`crate::estimator`]'s
+/// `group-testing` partials and the adaptive scheduler: exact
+/// per-point/shared accumulators over coalition-test streams `range`, tiled
+/// per `plan` (`None` ⇒ the static blocks-per-thread default). The tiling is
+/// bitwise-free: accumulators are exact, so every block partition deposits
+/// the same multiset of summands.
+///
+/// ### Determinism contract
+///
+/// A partial stores `ν(I)` in its header (bitwise-checked equal across
+/// shards at merge time) and these exact `point`/`shared` accumulators in
+/// its payload; [`crate::sharding::merge_partials`] folds them and runs the
+/// same [`recover_values`] finalization as the unsharded estimator,
+/// reproducing [`group_testing_shapley_with_threads`] bit for bit at every
+/// shard and thread count.
+///
+/// ```
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::group_testing::group_testing_shapley;
+/// use knnshap_core::sharding::{merge_partials, ShardSpec};
+/// use knnshap_core::utility::KnnClassUtility;
+/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+/// use knnshap_knn::weights::WeightFn;
+///
+/// let cfg = BlobConfig { n: 8, dim: 2, n_classes: 2, ..Default::default() };
+/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 1));
+/// let family = Family::GroupTesting { tests: 300 };
+/// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 5 };
+/// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..2).map(|i| job.partial(ShardSpec::new(i, 2), 1)).collect();
+/// let merged = merge_partials(&parts).unwrap().values;
+/// let u = KnnClassUtility::unweighted(&train, &test, 2);
+/// let whole = group_testing_shapley(&u, 300, 5).values;
+/// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
+/// ```
+pub(crate) fn group_testing_shapley_shard<U: Utility + ?Sized>(
     u: &U,
     streams: RngStreams,
     range: std::ops::Range<usize>,
@@ -223,7 +250,7 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     assert!(n >= 2, "need at least two players");
     assert!(tests >= 1, "need at least one test");
     let streams = RngStreams::new(seed);
-    let (point, shared) = shard_sums(u, streams, 0..tests, threads, None);
+    let (point, shared) = group_testing_shapley_shard(u, streams, 0..tests, threads, None);
     let values = recover_values(u.grand(), tests, point.values(), shared.value());
     GroupTestingResult { values, tests }
 }
@@ -247,7 +274,8 @@ pub fn group_testing_shapley_adaptive<U: Utility + ?Sized>(
     let model = measure_gt_model(u, &streams, tests.min(2));
     let force = crate::schedule::forced();
     let plan = crate::schedule::plan_fanout(&model, tests, threads, force.as_ref());
-    let (point, shared) = shard_sums(u, streams, 0..tests, plan.threads, Some(plan));
+    let (point, shared) =
+        group_testing_shapley_shard(u, streams, 0..tests, plan.threads, Some(plan));
     let values = recover_values(u.grand(), tests, point.values(), shared.value());
     GroupTestingResult { values, tests }
 }
@@ -293,90 +321,6 @@ fn measure_gt_model<U: Utility + ?Sized>(
     }
 }
 
-/// The job fingerprint of the group-testing family (utility content + seed).
-pub fn group_testing_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    Fingerprint::new("group-testing")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
-}
-
-/// [`group_testing_fingerprint`] for a KNN classification job, computed
-/// straight from the dataset contents — identical to building the
-/// [`KnnClassUtility`] and fingerprinting it, minus the `O(N · N_test)`
-/// distance matrix. Used by plan/merge cross-checks.
-pub fn group_testing_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("group-testing")
-        .u64(seed)
-        .u64(KnnClassUtility::content_fingerprint(train, test, k, weight))
-        .finish()
-}
-
-/// Group-testing partial sums over one canonical shard of the coalition-test
-/// stream range.
-///
-/// ### Determinism contract
-///
-/// The shard stores `ν(I)` in its header (bitwise-checked equal across
-/// shards at merge time) and its exact `point`/`shared` accumulators in the
-/// payload; [`crate::sharding::merge_partials`] folds them and runs the
-/// same `recover_values` finalization as the unsharded estimator, reproducing
-/// [`group_testing_shapley_with_threads`] bit for bit at every shard and
-/// thread count.
-///
-/// ```
-/// use knnshap_core::group_testing::{group_testing_shapley, group_testing_shapley_shard};
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_core::utility::KnnClassUtility;
-/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
-///
-/// let cfg = BlobConfig { n: 8, dim: 2, n_classes: 2, ..Default::default() };
-/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 1));
-/// let u = KnnClassUtility::unweighted(&train, &test, 2);
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| group_testing_shapley_shard(&u, 300, 5, ShardSpec::new(i, 2), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap().values;
-/// let whole = group_testing_shapley(&u, 300, 5).values;
-/// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
-/// ```
-pub fn group_testing_shapley_shard<U: Utility + ?Sized>(
-    u: &U,
-    tests: usize,
-    seed: u64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    let n = u.n();
-    assert!(n >= 2, "need at least two players");
-    assert!(tests >= 1, "need at least one test");
-    let streams = RngStreams::new(seed);
-    let range = spec.range(tests);
-    let (point, shared) = shard_sums(u, streams, range.clone(), threads, None);
-    let mut aux = ExactVec::zeros(1);
-    aux.merge_scalar(0, &shared);
-    let fingerprint = group_testing_fingerprint(u, seed);
-    ShardPartial {
-        meta: ShardMeta {
-            kind: ShardKind::GroupTesting,
-            fingerprint,
-            n_train: n as u64,
-            total_items: tests as u64,
-            item_lo: range.start as u64,
-            item_hi: range.end as u64,
-            extras: vec![u.grand()],
-        },
-        sums: point,
-        aux,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,16 +344,36 @@ mod tests {
 
     #[test]
     fn dataset_level_fingerprint_matches_utility_level() {
+        use crate::estimator::{Data, Estimator, Family, Source, Task};
+        use crate::sharding::Fingerprint;
+        use knnshap_knn::weights::WeightFn;
         let (train, test) = small_game();
+        let identity = |seed| {
+            let est = Estimator {
+                task: Task::Class,
+                k: 2,
+                weight: WeightFn::Uniform,
+                family: Family::GroupTesting { tests: 10 },
+                seed,
+            };
+            let data = Data::Class {
+                train: &train,
+                test: &test,
+            };
+            est.prepare(data, Source::Brute)
+                .unwrap()
+                .identity()
+                .fingerprint
+        };
         let u = KnnClassUtility::unweighted(&train, &test, 2);
         assert_eq!(
-            group_testing_fingerprint(&u, 11),
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 11)
+            identity(11),
+            Fingerprint::new("group-testing")
+                .u64(11)
+                .u64(u.fingerprint())
+                .finish()
         );
-        assert_ne!(
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 11),
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 12)
-        );
+        assert_ne!(identity(11), identity(12));
     }
 
     #[test]

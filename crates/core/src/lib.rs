@@ -25,13 +25,15 @@
 //! streaming scenario ([`streaming`]: on-the-fly accumulation as test points
 //! arrive), and the [`sharding`] runtime (per-shard partial sums over exact
 //! accumulators with a merge that is bitwise-identical to the unsharded run
-//! at every shard and thread count — see `docs/sharding.md`).
+//! at every shard and thread count — see `docs/sharding.md`), whose every
+//! shardable family is described by one [`estimator::Estimator`].
 
 pub mod analysis;
 pub mod axioms;
 pub mod bounds;
 pub mod composite;
 pub mod curator;
+pub mod estimator;
 pub mod exact_enum;
 pub mod exact_regression;
 pub mod exact_unweighted;

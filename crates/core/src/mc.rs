@@ -31,8 +31,7 @@
 //!   ([`knnshap_numerics::exact::ExactVec`]), whose error-free,
 //!   order-invariant merge makes the estimate a pure function of the
 //!   permutation multiset — bitwise-identical at every thread count *and*
-//!   every sharding of the stream range ([`mc_shapley_baseline_shard`],
-//!   [`mc_shapley_improved_shard`]);
+//!   every sharding of the stream range ([`crate::estimator`]);
 //! * the heuristic rule and snapshot requests ingest permutations in rounds
 //!   of [`crate::bounds::mc_round_size`] streams, folding each round into a
 //!   running compensated ([`CompensatedVec`], Neumaier) estimate in
@@ -41,9 +40,10 @@
 //!   therefore **not shardable** — a shard cannot know whether an earlier
 //!   shard would have stopped; use a fixed budget to shard.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::Source;
+use crate::sharding::Fingerprint;
 use crate::types::ShapleyValues;
-use crate::utility::{DistMatrix, KnnClassUtility, Utility};
+use crate::utility::{DistMatrix, Utility};
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::heap::KnnHeap;
 use knnshap_knn::weights::WeightFn;
@@ -149,7 +149,7 @@ struct BlockAcc<W> {
 }
 
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
-/// entry points: run permutation streams `range` (of a job whose full
+/// folds: run permutation streams `range` (of a job whose full
 /// stream space is `0..total`), depositing every marginal-contribution
 /// vector into exact accumulators, eagerly merged block by block
 /// ([`crate::sharding::exact_block_fold`]) so live accumulators stay
@@ -489,8 +489,9 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
     }
 }
 
-/// Baseline-MC partial sums over one canonical shard of a fixed
-/// permutation-stream budget.
+/// The baseline-MC fold behind [`crate::estimator`]'s `mc-baseline`
+/// partials: exact sums of the marginal-contribution vectors of permutation
+/// streams `range` of `seed`.
 ///
 /// ### Determinism contract
 ///
@@ -503,84 +504,38 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
 /// fixed budget instead.
 ///
 /// ```
-/// use knnshap_core::mc::{mc_shapley_baseline, mc_shapley_baseline_shard, StoppingRule};
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::mc::{mc_shapley_baseline, StoppingRule};
 /// use knnshap_core::sharding::{merge_partials, ShardSpec};
 /// use knnshap_core::utility::{KnnClassUtility, Utility};
 /// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+/// use knnshap_knn::weights::WeightFn;
 ///
 /// let cfg = BlobConfig { n: 12, dim: 2, n_classes: 2, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 7));
-/// let u = KnnClassUtility::unweighted(&train, &test, 2);
-/// let parts: Vec<_> = (0..3)
-///     .map(|i| mc_shapley_baseline_shard(&u, 20, 42, ShardSpec::new(i, 3), 1))
-///     .collect();
+/// let family = Family::McBaseline { perms: 20 };
+/// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 42 };
+/// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..3).map(|i| job.partial(ShardSpec::new(i, 3), 1)).collect();
 /// let merged = merge_partials(&parts).unwrap();
+/// let u = KnnClassUtility::unweighted(&train, &test, 2);
 /// let whole = mc_shapley_baseline(&u, StoppingRule::Fixed(20), 42, None);
 /// assert_eq!(merged.items, 20);
 /// for i in 0..u.n() {
 ///     assert_eq!(merged.values.get(i).to_bits(), whole.values.get(i).to_bits());
 /// }
 /// ```
-pub fn mc_shapley_baseline_shard<U: Utility + ?Sized>(
+pub(crate) fn mc_shapley_baseline_shard<U: Utility + ?Sized>(
     u: &U,
-    budget: usize,
     seed: u64,
-    spec: ShardSpec,
+    range: std::ops::Range<usize>,
     threads: usize,
-) -> ShardPartial {
-    assert!(budget >= 1, "need at least one permutation");
-    let n = u.n();
+) -> ExactVec {
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    let range = spec.range(budget);
-    let sums = run_fanout(n, range.clone(), threads, || {
+    run_fanout(u.n(), range, threads, || {
         baseline_worker(u, streams, nu_empty)
-    });
-    let fingerprint = mc_baseline_fingerprint(u, seed);
-    ShardPartial::new(ShardKind::McBaseline, fingerprint, n, budget, range, sums)
-}
-
-/// The job fingerprint of the baseline-MC family (utility content + seed).
-pub fn mc_baseline_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    Fingerprint::new("mc-baseline")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
-}
-
-/// [`mc_baseline_fingerprint`] for a classification job, computed straight
-/// from the dataset contents — identical to building the
-/// [`KnnClassUtility`] and fingerprinting it, minus the `O(N · N_test)`
-/// distance matrix. This is what `knnshap merge` and the job-orchestration
-/// runtime use to cross-check shard headers cheaply.
-pub fn mc_baseline_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("mc-baseline")
-        .u64(seed)
-        .u64(KnnClassUtility::content_fingerprint(train, test, k, weight))
-        .finish()
-}
-
-/// [`mc_improved_fingerprint`] for a classification job, computed straight
-/// from the dataset contents (see [`mc_baseline_class_fingerprint`]).
-pub fn mc_improved_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("mc-improved")
-        .u64(seed)
-        .u64(IncKnnUtility::class_content_fingerprint(
-            train, test, k, weight,
-        ))
-        .finish()
+    })
 }
 
 /// The immutable half of [`IncKnnUtility`], shared (via `Arc`) by every fork
@@ -653,44 +608,25 @@ impl IncKnnUtility {
         k: usize,
         weight: WeightFn,
     ) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::build(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Class {
-                    labels: train.y.clone(),
-                    test_labels: test.y.clone(),
-                },
-                content: Self::class_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        Self::class_with_source(train, test, k, weight, Source::Brute)
     }
 
-    /// [`classification`](Self::classification) fed by a precomputed graph:
-    /// the shared distance matrix is reconstructed from the artifact's rank
-    /// lists (bitwise-identical entries) and the content fingerprint stays
-    /// the dataset-derived hash, so MC shards built on this utility
-    /// inter-merge with brute-force ones. Panics if the graph was not built
-    /// from `(train.x, test.x)`.
-    pub fn classification_from_graph(
+    /// [`classification`](Self::classification) with the shared distance
+    /// matrix taken from `source`: a graph yields bitwise-identical entries,
+    /// and the content fingerprint stays the dataset-derived hash. The
+    /// caller has validated a graph against `(train.x, test.x)`.
+    pub(crate) fn class_with_source(
         train: &ClassDataset,
         test: &ClassDataset,
         k: usize,
         weight: WeightFn,
-        graph: &knnshap_knn::graph::KnnGraph,
+        source: Source<'_>,
     ) -> Self {
         assert!(k >= 1 && !test.is_empty());
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
         let n_test = test.len();
         Self::from_shared(
             Arc::new(IncShared {
-                dist: DistMatrix::from_graph(graph),
+                dist: source.dist_matrix(&train.x, &test.x),
                 k,
                 weight,
                 task: IncTask::Class {
@@ -704,40 +640,23 @@ impl IncKnnUtility {
     }
 
     pub fn regression(train: &RegDataset, test: &RegDataset, k: usize, weight: WeightFn) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::build(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Reg {
-                    targets: train.y.clone(),
-                    test_targets: test.y.clone(),
-                },
-                content: Self::reg_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        Self::reg_with_source(train, test, k, weight, Source::Brute)
     }
 
-    /// [`regression`](Self::regression) fed by a precomputed graph (see
-    /// [`classification_from_graph`](Self::classification_from_graph)).
-    pub fn regression_from_graph(
+    /// [`regression`](Self::regression) with the distance matrix taken from
+    /// `source` (see [`class_with_source`](Self::class_with_source)).
+    pub(crate) fn reg_with_source(
         train: &RegDataset,
         test: &RegDataset,
         k: usize,
         weight: WeightFn,
-        graph: &knnshap_knn::graph::KnnGraph,
+        source: Source<'_>,
     ) -> Self {
         assert!(k >= 1 && !test.is_empty());
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
         let n_test = test.len();
         Self::from_shared(
             Arc::new(IncShared {
-                dist: DistMatrix::from_graph(graph),
+                dist: source.dist_matrix(&train.x, &test.x),
                 k,
                 weight,
                 task: IncTask::Reg {
@@ -752,9 +671,8 @@ impl IncKnnUtility {
 
     /// The dataset-content hash a [`classification`](Self::classification)
     /// utility reports as [`fingerprint`](Self::fingerprint) — computable
-    /// without building the distance matrix, so `merge`/plan cross-checks
-    /// stay `O(dataset)` instead of `O(N · N_test)`.
-    pub fn class_content_fingerprint(
+    /// without building the distance matrix.
+    pub(crate) fn class_content_fingerprint(
         train: &ClassDataset,
         test: &ClassDataset,
         k: usize,
@@ -773,7 +691,7 @@ impl IncKnnUtility {
 
     /// [`class_content_fingerprint`](Self::class_content_fingerprint) for
     /// the [`regression`](Self::regression) task.
-    pub fn reg_content_fingerprint(
+    pub(crate) fn reg_content_fingerprint(
         train: &RegDataset,
         test: &RegDataset,
         k: usize,
@@ -797,13 +715,9 @@ impl IncKnnUtility {
     }
 
     /// Content fingerprint (dataset features, labels/targets, K, weights) —
-    /// the job-identity half of [`mc_shapley_improved_shard`]'s shard
-    /// headers; see [`crate::sharding`]. Cached at construction from the
-    /// dataset contents (never from the derived distance matrix), so
-    /// cross-checkers can recompute it via
-    /// [`class_content_fingerprint`](Self::class_content_fingerprint) /
-    /// [`reg_content_fingerprint`](Self::reg_content_fingerprint) without a
-    /// distance-matrix rebuild.
+    /// the utility half of the `mc-improved` job identity (see
+    /// [`crate::estimator`]). Cached at construction from the dataset
+    /// contents, never from the derived distance matrix.
     pub fn fingerprint(&self) -> u64 {
         self.shared.content
     }
@@ -1018,54 +932,40 @@ fn improved_worker<'a>(
     }
 }
 
-/// Improved-MC (Algorithm 2) partial sums over one canonical shard of a
-/// fixed permutation-stream budget. Same determinism contract as
-/// [`mc_shapley_baseline_shard`]: merging a full shard set reproduces
-/// `mc_shapley_improved(u, StoppingRule::Fixed(budget), seed, None)` bit
-/// for bit at every shard and thread count.
+/// The Algorithm 2 fold behind [`crate::estimator`]'s `mc-improved`
+/// partials. Same determinism contract as [`mc_shapley_baseline_shard`]:
+/// merging a full shard set reproduces `mc_shapley_improved(u,
+/// StoppingRule::Fixed(budget), seed, None)` bit for bit at every shard and
+/// thread count.
 ///
 /// ```
-/// use knnshap_core::mc::{
-///     mc_shapley_improved, mc_shapley_improved_shard, IncKnnUtility, StoppingRule,
-/// };
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::mc::{mc_shapley_improved, IncKnnUtility, StoppingRule};
 /// use knnshap_core::sharding::{merge_partials, ShardSpec};
 /// use knnshap_datasets::synth::blobs::{self, BlobConfig};
 /// use knnshap_knn::weights::WeightFn;
 ///
 /// let cfg = BlobConfig { n: 15, dim: 2, n_classes: 2, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 3));
-/// let mut inc = IncKnnUtility::classification(&train, &test, 2, WeightFn::Uniform);
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| mc_shapley_improved_shard(&inc, 50, 9, ShardSpec::new(i, 2), 1))
-///     .collect();
+/// let family = Family::McImproved { perms: 50 };
+/// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 9 };
+/// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..2).map(|i| job.partial(ShardSpec::new(i, 2), 1)).collect();
 /// let merged = merge_partials(&parts).unwrap();
+/// let mut inc = IncKnnUtility::classification(&train, &test, 2, WeightFn::Uniform);
 /// let whole = mc_shapley_improved(&mut inc, StoppingRule::Fixed(50), 9, None);
 /// for i in 0..inc.n() {
 ///     assert_eq!(merged.values.get(i).to_bits(), whole.values.get(i).to_bits());
 /// }
 /// ```
-pub fn mc_shapley_improved_shard(
+pub(crate) fn mc_shapley_improved_shard(
     u: &IncKnnUtility,
-    budget: usize,
     seed: u64,
-    spec: ShardSpec,
+    range: std::ops::Range<usize>,
     threads: usize,
-) -> ShardPartial {
-    assert!(budget >= 1, "need at least one permutation");
-    let n = u.n();
+) -> ExactVec {
     let streams = RngStreams::new(seed);
-    let range = spec.range(budget);
-    let sums = run_fanout(n, range.clone(), threads, || improved_worker(u, streams));
-    let fingerprint = mc_improved_fingerprint(u, seed);
-    ShardPartial::new(ShardKind::McImproved, fingerprint, n, budget, range, sums)
-}
-
-/// The job fingerprint of the improved-MC family (utility content + seed).
-pub fn mc_improved_fingerprint(u: &IncKnnUtility, seed: u64) -> u64 {
-    Fingerprint::new("mc-improved")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
+    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
 }
 
 /// Empirical "ground truth" permutation demand (Fig. 11): the first `t` at
@@ -1154,28 +1054,54 @@ mod tests {
 
     #[test]
     fn dataset_level_mc_fingerprints_match_utility_level() {
+        use crate::estimator::{Data, Estimator, Family, Source, Task};
         let (train, test) = small_class(5, 14);
+        let identity = |family, weight, seed| {
+            let est = Estimator {
+                task: Task::Class,
+                k: 3,
+                weight,
+                family,
+                seed,
+            };
+            let data = Data::Class {
+                train: &train,
+                test: &test,
+            };
+            est.prepare(data, Source::Brute)
+                .unwrap()
+                .identity()
+                .fingerprint
+        };
+        let (baseline, improved) = (
+            Family::McBaseline { perms: 10 },
+            Family::McImproved { perms: 10 },
+        );
+        // The dataset-level identity equals the one derived from a built
+        // utility's content fingerprint, as shard files have always carried.
         for weight in [WeightFn::Uniform, WeightFn::InverseDistance { eps: 1e-3 }] {
             let u = KnnClassUtility::new(&train, &test, 3, weight);
+            let from_utility =
+                |name: &str, content: u64| Fingerprint::new(name).u64(7).u64(content).finish();
             assert_eq!(
-                mc_baseline_fingerprint(&u, 7),
-                mc_baseline_class_fingerprint(&train, &test, 3, weight, 7)
+                identity(baseline, weight, 7),
+                from_utility("mc-baseline", u.fingerprint())
             );
             let inc = IncKnnUtility::classification(&train, &test, 3, weight);
             assert_eq!(
-                mc_improved_fingerprint(&inc, 7),
-                mc_improved_class_fingerprint(&train, &test, 3, weight, 7)
+                identity(improved, weight, 7),
+                from_utility("mc-improved", inc.fingerprint())
             );
         }
         // Seed is part of the job identity.
         assert_ne!(
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7),
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 8)
+            identity(baseline, WeightFn::Uniform, 7),
+            identity(baseline, WeightFn::Uniform, 8)
         );
         // Baseline and improved never merge together.
         assert_ne!(
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7),
-            mc_improved_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7)
+            identity(baseline, WeightFn::Uniform, 7),
+            identity(improved, WeightFn::Uniform, 7)
         );
     }
 

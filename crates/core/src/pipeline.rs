@@ -24,6 +24,7 @@
 
 use crate::composite::GameForm;
 use crate::curator::{curator_class_shapley, Ownership};
+use crate::estimator::{check_inputs, Data, Estimator, Family, Source, Task};
 use crate::mc::{IncKnnUtility, StoppingRule};
 use crate::types::ShapleyValues;
 use knnshap_datasets::{contrast, ClassDataset, RegDataset};
@@ -197,21 +198,7 @@ impl<'a> KnnShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        if self.train.is_empty() {
-            return Err(PipelineError::EmptyTrainSet);
-        }
-        if self.test.is_empty() {
-            return Err(PipelineError::EmptyTestSet);
-        }
-        if self.train.dim() != self.test.dim() {
-            return Err(PipelineError::DimensionMismatch);
-        }
-        check_finite(&self.train.x, &self.test.x)?;
-        if let Some(g) = self.graph {
-            g.validate_against(&self.train.x, &self.test.x)
-                .map_err(|e| PipelineError::GraphMismatch(e.to_string()))?;
-        }
-        Ok(())
+        check_inputs(&self.train.x, &self.test.x, self.graph.into())
     }
 
     /// Execute the configured valuation.
@@ -225,75 +212,38 @@ impl<'a> KnnShapley<'a> {
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
         self.validate()?;
         let uniform = matches!(self.weight, WeightFn::Uniform);
+        let source = Source::from(self.graph);
+        let per_test = |family| {
+            let est = Estimator {
+                task: Task::Class,
+                k: self.k,
+                weight: self.weight,
+                family,
+                seed: 0,
+            };
+            let data = Data::Class {
+                train: self.train,
+                test: self.test,
+            };
+            Ok(est.per_test_values(data, source, self.threads).into())
+        };
         match self.method {
-            Method::Exact => {
-                if uniform {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_unweighted::knn_class_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_unweighted::knn_class_shapley_with_threads(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                } else {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_weighted::weighted_knn_class_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_weighted::weighted_knn_class_shapley(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                }
-            }
+            Method::Exact => per_test(Family::Exact),
             Method::Truncated { eps } => {
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("Truncated"));
                 }
-                Ok(match self.graph {
-                    Some(g) => crate::truncated::truncated_class_shapley_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        eps,
-                        g,
-                        self.threads,
-                    ),
-                    None if self.adaptive => crate::truncated::truncated_class_shapley_adaptive(
+                if self.adaptive && self.graph.is_none() {
+                    return Ok(crate::truncated::truncated_class_shapley_adaptive(
                         self.train,
                         self.test,
                         self.k,
                         eps,
                         self.threads,
-                    ),
-                    None => crate::truncated::truncated_class_shapley_with_threads(
-                        self.train,
-                        self.test,
-                        self.k,
-                        eps,
-                        self.threads,
-                    ),
+                    )
+                    .into());
                 }
-                .into())
+                per_test(Family::Truncated { eps })
             }
             Method::TruncatedTree { eps } => {
                 if !uniform {
@@ -362,59 +312,24 @@ impl<'a> KnnShapley<'a> {
                 )
             }
             Method::McBaseline { rule, seed } => {
-                let u = match self.graph {
-                    Some(g) => crate::utility::KnnClassUtility::from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => crate::utility::KnnClassUtility::new(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                    ),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_baseline_adaptive(&u, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, self.threads)
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let u = crate::utility::KnnClassUtility::with_source(
+                    self.train,
+                    self.test,
+                    self.k,
+                    self.weight,
+                    source,
+                );
+                Ok(baseline(&u, rule, seed, self.adaptive, self.threads))
             }
             Method::McImproved { rule, seed } => {
-                let inc = match self.graph {
-                    Some(g) => IncKnnUtility::classification_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => {
-                        IncKnnUtility::classification(self.train, self.test, self.k, self.weight)
-                    }
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_improved_adaptive(&inc, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_improved_with_threads(
-                        &inc,
-                        rule,
-                        seed,
-                        None,
-                        self.threads,
-                    )
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let inc = IncKnnUtility::class_with_source(
+                    self.train,
+                    self.test,
+                    self.k,
+                    self.weight,
+                    source,
+                );
+                Ok(improved(&inc, rule, seed, self.adaptive, self.threads))
             }
         }
     }
@@ -441,21 +356,42 @@ impl<'a> KnnShapley<'a> {
     }
 }
 
-/// Shared NaN/inf screening for both pipeline front doors.
-fn check_finite(
-    train: &knnshap_datasets::Features,
-    test: &knnshap_datasets::Features,
-) -> Result<(), PipelineError> {
-    if let Some(row) = train.first_non_finite_row() {
-        return Err(PipelineError::NonFiniteFeature {
-            which: "train",
-            row,
-        });
+/// The §2.2 baseline under `rule`, on the measured or the static schedule.
+fn baseline<U: crate::utility::Utility + ?Sized>(
+    u: &U,
+    rule: StoppingRule,
+    seed: u64,
+    adaptive: bool,
+    threads: usize,
+) -> Valuation {
+    let res = if adaptive {
+        crate::mc::mc_shapley_baseline_adaptive(u, rule, seed, None, threads)
+    } else {
+        crate::mc::mc_shapley_baseline_with_threads(u, rule, seed, None, threads)
+    };
+    Valuation {
+        values: res.values,
+        permutations: Some(res.permutations),
     }
-    if let Some(row) = test.first_non_finite_row() {
-        return Err(PipelineError::NonFiniteFeature { which: "test", row });
+}
+
+/// Algorithm 2 under `rule`, on the measured or the static schedule.
+fn improved(
+    inc: &IncKnnUtility,
+    rule: StoppingRule,
+    seed: u64,
+    adaptive: bool,
+    threads: usize,
+) -> Valuation {
+    let res = if adaptive {
+        crate::mc::mc_shapley_improved_adaptive(inc, rule, seed, None, threads)
+    } else {
+        crate::mc::mc_shapley_improved_with_threads(inc, rule, seed, None, threads)
+    };
+    Valuation {
+        values: res.values,
+        permutations: Some(res.permutations),
     }
-    Ok(())
 }
 
 /// Valuation algorithm selection for regression tasks.
@@ -553,21 +489,7 @@ impl<'a> RegShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        if self.train.is_empty() {
-            return Err(PipelineError::EmptyTrainSet);
-        }
-        if self.test.is_empty() {
-            return Err(PipelineError::EmptyTestSet);
-        }
-        if self.train.dim() != self.test.dim() {
-            return Err(PipelineError::DimensionMismatch);
-        }
-        check_finite(&self.train.x, &self.test.x)?;
-        if let Some(g) = self.graph {
-            g.validate_against(&self.train.x, &self.test.x)
-                .map_err(|e| PipelineError::GraphMismatch(e.to_string()))?;
-        }
-        Ok(())
+        check_inputs(&self.train.x, &self.test.x, self.graph.into())
     }
 
     /// Execute the configured valuation.
@@ -579,99 +501,50 @@ impl<'a> RegShapley<'a> {
     /// (permutation counts for the Monte Carlo methods).
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
         self.validate()?;
-        let uniform = matches!(self.weight, WeightFn::Uniform);
+        let source = Source::from(self.graph);
         match self.method {
-            RegMethod::Exact => {
-                if uniform {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_regression::knn_reg_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_regression::knn_reg_shapley_with_threads(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                } else {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_weighted::weighted_knn_reg_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_weighted::weighted_knn_reg_shapley(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                }
+            RegMethod::Exact if matches!(self.weight, WeightFn::Uniform) => {
+                let est = Estimator {
+                    task: Task::Reg,
+                    k: self.k,
+                    weight: self.weight,
+                    family: Family::Exact,
+                    seed: 0,
+                };
+                let data = Data::Reg {
+                    train: self.train,
+                    test: self.test,
+                };
+                Ok(est.per_test_values(data, source, self.threads).into())
             }
+            RegMethod::Exact => Ok(crate::exact_weighted::weighted_reg_shapley_checked(
+                self.train,
+                self.test,
+                self.k,
+                self.weight,
+                source,
+                self.threads,
+            )
+            .into()),
             RegMethod::McBaseline { rule, seed } => {
-                let u = match self.graph {
-                    Some(g) => crate::utility::KnnRegUtility::from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => crate::utility::KnnRegUtility::new(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                    ),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_baseline_adaptive(&u, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, self.threads)
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let u = crate::utility::KnnRegUtility::with_source(
+                    self.train,
+                    self.test,
+                    self.k,
+                    self.weight,
+                    source,
+                );
+                Ok(baseline(&u, rule, seed, self.adaptive, self.threads))
             }
             RegMethod::McImproved { rule, seed } => {
-                let inc = match self.graph {
-                    Some(g) => IncKnnUtility::regression_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => IncKnnUtility::regression(self.train, self.test, self.k, self.weight),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_improved_adaptive(&inc, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_improved_with_threads(
-                        &inc,
-                        rule,
-                        seed,
-                        None,
-                        self.threads,
-                    )
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let inc = IncKnnUtility::reg_with_source(
+                    self.train,
+                    self.test,
+                    self.k,
+                    self.weight,
+                    source,
+                );
+                Ok(improved(&inc, rule, seed, self.adaptive, self.threads))
             }
         }
     }

@@ -17,7 +17,8 @@
 //!   self-contained. (The group-testing baseline shards the same way over
 //!   its coalition-test streams.)
 //!
-//! A *shard* runs one such range and produces a [`ShardPartial`]: unscaled
+//! A *shard* runs one such range — through the one descriptor of
+//! [`crate::estimator`] — and produces a [`ShardPartial`]: unscaled
 //! per-training-point partial sums held in **exact accumulators**
 //! ([`knnshap_numerics::exact::ExactVec`]), plus a self-describing
 //! [`ShardMeta`] header. [`merge_partials`] validates that the shards belong
@@ -45,19 +46,21 @@
 //! workflow, failure modes).
 //!
 //! ```
-//! use knnshap_core::exact_unweighted::{knn_class_shapley_shard, knn_class_shapley_with_threads};
+//! use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+//! use knnshap_core::exact_unweighted::knn_class_shapley_with_threads;
 //! use knnshap_core::sharding::{merge_partials, ShardSpec};
 //! use knnshap_datasets::synth::blobs::{self, BlobConfig};
+//! use knnshap_knn::weights::WeightFn;
 //!
 //! let cfg = BlobConfig { n: 80, dim: 4, n_classes: 2, ..Default::default() };
 //! let train = blobs::generate(&cfg);
 //! let test = blobs::queries(&cfg, 9, 3);
+//! let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family: Family::Exact, seed: 0 };
+//! let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
 //!
 //! // Three shards, computed independently (here in-process; in production
 //! // each runs in its own process via `knnshap shard` and lands on disk).
-//! let parts: Vec<_> = (0..3)
-//!     .map(|i| knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(i, 3), 1))
-//!     .collect();
+//! let parts: Vec<_> = (0..3).map(|i| job.partial(ShardSpec::new(i, 3), 1)).collect();
 //! let merged = merge_partials(&parts).unwrap();
 //!
 //! // Bitwise-identical to the unsharded estimator, not merely close.
@@ -273,31 +276,6 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 impl ShardPartial {
-    /// Assemble a partial for the per-item-mean families (no extras, no
-    /// aux) — the one construction every `*_shard` entry point shares.
-    pub(crate) fn new(
-        kind: ShardKind,
-        fingerprint: u64,
-        n_train: usize,
-        total_items: usize,
-        range: std::ops::Range<usize>,
-        sums: ExactVec,
-    ) -> Self {
-        ShardPartial {
-            meta: ShardMeta {
-                kind,
-                fingerprint,
-                n_train: n_train as u64,
-                total_items: total_items as u64,
-                item_lo: range.start as u64,
-                item_hi: range.end as u64,
-                extras: vec![],
-            },
-            sums,
-            aux: ExactVec::zeros(0),
-        }
-    }
-
     /// Serialize to the versioned on-disk format (fully specified in
     /// `docs/sharding.md`; all integers and float bit patterns
     /// little-endian). The payload is canonical: equal exact partial sums
@@ -837,19 +815,27 @@ mod tests {
         (blobs::generate(&cfg), blobs::queries(&cfg, 11, 5))
     }
 
-    fn parts(shards: usize) -> Vec<ShardPartial> {
+    /// Shard `i` of `shards` of the exact-classification job with `k`.
+    fn shard(k: usize, i: usize, shards: usize) -> ShardPartial {
+        use crate::estimator::{Data, Estimator, Family, Source, Task};
         let (train, test) = data();
-        (0..shards)
-            .map(|i| {
-                crate::exact_unweighted::knn_class_shapley_shard(
-                    &train,
-                    &test,
-                    2,
-                    ShardSpec::new(i, shards),
-                    1,
-                )
-            })
-            .collect()
+        let est = Estimator {
+            task: Task::Class,
+            k,
+            weight: WeightFn::Uniform,
+            family: Family::Exact,
+            seed: 0,
+        };
+        let data = Data::Class {
+            train: &train,
+            test: &test,
+        };
+        let job = est.prepare(data, Source::Brute).unwrap();
+        job.partial(ShardSpec::new(i, shards), 1)
+    }
+
+    fn parts(shards: usize) -> Vec<ShardPartial> {
+        (0..shards).map(|i| shard(2, i, shards)).collect()
     }
 
     #[test]
@@ -931,14 +917,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ShardError::Coverage(_)), "{err}");
         // Mixed jobs: different K ⇒ different fingerprint.
-        let (train, test) = data();
-        let other = crate::exact_unweighted::knn_class_shapley_shard(
-            &train,
-            &test,
-            3,
-            ShardSpec::new(0, 3),
-            1,
-        );
+        let other = shard(3, 0, 3);
         let err = merge_partials(&[other, ps[1].clone(), ps[2].clone()]).unwrap_err();
         assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
         // Nothing at all.
@@ -1029,14 +1008,7 @@ mod tests {
         let err = a.absorb_adjacent(&ps[1].clone()).unwrap_err();
         assert!(matches!(err, ShardError::Coverage(_)), "{err}");
         // Different job (different K ⇒ fingerprint).
-        let (train, test) = data();
-        let other = crate::exact_unweighted::knn_class_shapley_shard(
-            &train,
-            &test,
-            3,
-            ShardSpec::new(1, 3),
-            1,
-        );
+        let other = shard(3, 1, 3);
         let mut a = ps[0].clone();
         let err = a.absorb_adjacent(&other).unwrap_err();
         assert!(matches!(err, ShardError::Incompatible(_)), "{err}");

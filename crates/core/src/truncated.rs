@@ -20,11 +20,10 @@
 //! tighten ε or fall back to the exact algorithm when the estimate
 //! degenerates; see `all_zero_estimate_on_pure_clusters_is_still_valid`.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::Source;
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{partial_k_nearest, Neighbor};
 use knnshap_numerics::exact::ExactVec;
 
@@ -126,7 +125,7 @@ pub fn truncated_class_shapley(
 /// [`truncated_class_shapley`] with an explicit worker count: the per-test
 /// games fan across the pool into *exact* accumulators, so the average is
 /// bitwise-identical for every `threads` value — and for every sharding of
-/// the test range (see [`truncated_class_shapley_shard`]).
+/// the test range (see [`crate::estimator`]).
 pub fn truncated_class_shapley_with_threads(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -135,7 +134,8 @@ pub fn truncated_class_shapley_with_threads(
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
-    let sums = shard_sums(train, test, k, eps, 0..test.len(), threads);
+    let sums =
+        truncated_class_shapley_shard(train, test, k, eps, Source::Brute, 0..test.len(), threads);
     crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 
@@ -189,144 +189,52 @@ pub fn truncated_class_shapley_adaptive(
     crate::sharding::finalize_mean(&sums, n_test as u64)
 }
 
-/// Truncated partial sums over one canonical shard of the test range.
+/// The Theorem 2 fold behind [`crate::estimator`]'s truncated partials:
+/// exact sums of the per-test truncated vectors of test points `range`,
+/// each over its `K*` nearest neighbors from `source` (a graph's ranking
+/// prefix `[..K*]` is exactly what [`partial_k_nearest`] retrieves).
 ///
 /// ### Determinism contract
 ///
 /// Theorem 2's guarantee is per test point, so the shard split rides the
-/// same additivity decomposition as the exact algorithm: the partial state
-/// depends only on `(train, test, k, ε)` and the shard's range. Merging a
-/// full shard set with [`crate::sharding::merge_partials`] reproduces
+/// same additivity decomposition as the exact algorithm: the sums depend
+/// only on `(train, test, k, ε)` and `range`. Merging a full shard set with
+/// [`crate::sharding::merge_partials`] reproduces
 /// [`truncated_class_shapley_with_threads`] bit for bit at every shard and
 /// thread count.
 ///
 /// ```
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
 /// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_core::truncated::{truncated_class_shapley, truncated_class_shapley_shard};
+/// use knnshap_core::truncated::truncated_class_shapley;
 /// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+/// use knnshap_knn::weights::WeightFn;
 ///
 /// let cfg = BlobConfig { n: 60, dim: 4, n_classes: 3, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 8, 2));
-/// let parts: Vec<_> = (0..3)
-///     .map(|i| truncated_class_shapley_shard(&train, &test, 2, 0.2, ShardSpec::new(i, 3), 1))
-///     .collect();
+/// let family = Family::Truncated { eps: 0.2 };
+/// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 0 };
+/// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+/// let parts: Vec<_> = (0..3).map(|i| job.partial(ShardSpec::new(i, 3), 1)).collect();
 /// let merged = merge_partials(&parts).unwrap().values;
 /// let whole = truncated_class_shapley(&train, &test, 2, 0.2);
 /// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
 /// ```
-pub fn truncated_class_shapley_shard(
+pub(crate) fn truncated_class_shapley_shard(
     train: &ClassDataset,
     test: &ClassDataset,
     k: usize,
     eps: f64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, eps, range.clone(), threads);
-    let fingerprint = truncated_fingerprint(train, test, k, eps);
-    ShardPartial::new(
-        ShardKind::Truncated,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the truncated family.
-pub fn truncated_fingerprint(train: &ClassDataset, test: &ClassDataset, k: usize, eps: f64) -> u64 {
-    Fingerprint::new("truncated")
-        .u64(k as u64)
-        .f64(eps)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-fn shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let per_test = truncated_class_shapley_single(train, test.x.row(j), test.y[j], k, eps);
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`truncated_class_shapley_shard`] fed by a precomputed graph.
-///
-/// The graph's full ranking prefix `[..K*]` is exactly what
-/// [`partial_k_nearest`] retrieves (both are ascending prefixes of the same
-/// total order over bitwise-identical distances), so the partial carries the
-/// same kind/fingerprint and merges bitwise-identically with brute-force
-/// shards. Panics if the graph was not built from `(train.x, test.x)`.
-pub fn truncated_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, eps, graph, range.clone(), threads);
-    let fingerprint = truncated_fingerprint(train, test, k, eps);
-    ShardPartial::new(
-        ShardKind::Truncated,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
+    source: Source<'_>,
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
     let ks = k_star(k, eps);
     crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let list = graph.list(j);
-        let prefix = &list[..ks.min(list.len())];
-        let per_test = truncated_recursion(prefix, &train.y, test.y[j], k, ks, train.len());
+        let nearest = source.nearest(&train.x, &test.x, j, ks);
+        let per_test = truncated_recursion(&nearest, &train.y, test.y[j], k, ks, train.len());
         acc.add_dense(per_test.as_slice());
     })
-}
-
-/// [`truncated_class_shapley_with_threads`] fed by a precomputed graph:
-/// skips the distance pass, returns the same bits.
-pub fn truncated_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, eps, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! `eval(S)` costs `O(|S| · K · N_test)` — the dominant cost of the Monte
 //! Carlo baselines, which is exactly why the paper's exact algorithms matter.
 
+use crate::estimator::Source;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::distance::l2;
 use knnshap_knn::graph::KnnGraph;
@@ -137,10 +138,24 @@ pub struct KnnClassUtility {
 
 impl KnnClassUtility {
     pub fn new(train: &ClassDataset, test: &ClassDataset, k: usize, weight: WeightFn) -> Self {
+        Self::with_source(train, test, k, weight, Source::Brute)
+    }
+
+    /// [`KnnClassUtility::new`] with the distance matrix taken from
+    /// `source`: a graph's rank lists reproduce the distance pass bit for
+    /// bit, and the content fingerprint is the same dataset-derived hash.
+    /// The caller has validated a graph against `(train.x, test.x)`.
+    pub(crate) fn with_source(
+        train: &ClassDataset,
+        test: &ClassDataset,
+        k: usize,
+        weight: WeightFn,
+        source: Source<'_>,
+    ) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(!test.is_empty(), "need at least one test point");
         Self {
-            dist: DistMatrix::build(&train.x, &test.x),
+            dist: source.dist_matrix(&train.x, &test.x),
             labels: train.y.clone(),
             test_labels: test.y.clone(),
             k,
@@ -149,14 +164,12 @@ impl KnnClassUtility {
         }
     }
 
-    /// The dataset-content job-identity hash this utility's
-    /// [`Utility::fingerprint`] reports — computable **without** building
-    /// the `O(N · N_test)` distance matrix, which is what lets `merge` and
-    /// the job-orchestration runtime cross-check Monte Carlo and
-    /// group-testing shard headers cheaply. The distance matrix is a pure
-    /// function of the feature contents hashed here, so the content hash
-    /// identifies the game just as precisely.
-    pub fn content_fingerprint(
+    /// The dataset-content hash this utility's [`Utility::fingerprint`]
+    /// reports — computable **without** building the `O(N · N_test)`
+    /// distance matrix. The matrix is a pure function of the feature
+    /// contents hashed here, so the content hash identifies the game just as
+    /// precisely.
+    pub(crate) fn content_fingerprint(
         train: &ClassDataset,
         test: &ClassDataset,
         k: usize,
@@ -170,35 +183,6 @@ impl KnnClassUtility {
             .u64(crate::sharding::hash_class_dataset(train))
             .u64(crate::sharding::hash_class_dataset(test))
             .finish()
-    }
-
-    /// [`KnnClassUtility::new`] fed by a precomputed graph: the distance
-    /// matrix is reconstructed from the artifact's rank lists
-    /// (`DistMatrix::from_graph`) instead of recomputed, and the content
-    /// fingerprint is the same dataset-derived hash — so Monte Carlo and
-    /// group-testing shards built on this utility inter-merge with
-    /// brute-force ones. Panics if the graph was not built from
-    /// `(train.x, test.x)`.
-    pub fn from_graph(
-        train: &ClassDataset,
-        test: &ClassDataset,
-        k: usize,
-        weight: WeightFn,
-        graph: &KnnGraph,
-    ) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        assert!(!test.is_empty(), "need at least one test point");
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        Self {
-            dist: DistMatrix::from_graph(graph),
-            labels: train.y.clone(),
-            test_labels: test.y.clone(),
-            k,
-            weight,
-            content: Self::content_fingerprint(train, test, k, weight),
-        }
     }
 
     pub fn unweighted(train: &ClassDataset, test: &ClassDataset, k: usize) -> Self {
@@ -262,10 +246,22 @@ pub struct KnnRegUtility {
 
 impl KnnRegUtility {
     pub fn new(train: &RegDataset, test: &RegDataset, k: usize, weight: WeightFn) -> Self {
+        Self::with_source(train, test, k, weight, Source::Brute)
+    }
+
+    /// [`KnnRegUtility::new`] with the distance matrix taken from `source`
+    /// (see [`KnnClassUtility::with_source`]).
+    pub(crate) fn with_source(
+        train: &RegDataset,
+        test: &RegDataset,
+        k: usize,
+        weight: WeightFn,
+        source: Source<'_>,
+    ) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(!test.is_empty(), "need at least one test point");
         Self {
-            dist: DistMatrix::build(&train.x, &test.x),
+            dist: source.dist_matrix(&train.x, &test.x),
             targets: train.y.clone(),
             test_targets: test.y.clone(),
             k,
@@ -274,10 +270,9 @@ impl KnnRegUtility {
         }
     }
 
-    /// Dataset-content job-identity hash (see
-    /// [`KnnClassUtility::content_fingerprint`] for why this avoids the
-    /// distance matrix).
-    pub fn content_fingerprint(
+    /// Dataset-content hash (see [`KnnClassUtility::content_fingerprint`]
+    /// for why this avoids the distance matrix).
+    pub(crate) fn content_fingerprint(
         train: &RegDataset,
         test: &RegDataset,
         k: usize,
@@ -291,30 +286,6 @@ impl KnnRegUtility {
             .u64(crate::sharding::hash_reg_dataset(train))
             .u64(crate::sharding::hash_reg_dataset(test))
             .finish()
-    }
-
-    /// [`KnnRegUtility::new`] fed by a precomputed graph (see
-    /// [`KnnClassUtility::from_graph`] for the contract).
-    pub fn from_graph(
-        train: &RegDataset,
-        test: &RegDataset,
-        k: usize,
-        weight: WeightFn,
-        graph: &KnnGraph,
-    ) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        assert!(!test.is_empty(), "need at least one test point");
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        Self {
-            dist: DistMatrix::from_graph(graph),
-            targets: train.y.clone(),
-            test_targets: test.y.clone(),
-            k,
-            weight,
-            content: Self::content_fingerprint(train, test, k, weight),
-        }
     }
 
     pub fn unweighted(train: &RegDataset, test: &RegDataset, k: usize) -> Self {

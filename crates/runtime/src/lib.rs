@@ -26,11 +26,11 @@
 //!   claimant loses cleanly); heartbeats refresh the lease's mtime; the
 //!   supervisor expires leases whose heartbeat went stale and the shard
 //!   becomes claimable again.
-//! * [`dispatch`] — loads the datasets named by the plan, **verifies the job
+//! * [`dispatch`] — loads the datasets named by the plan and binds them to
+//!   the plan's `knnshap_core::estimator::Estimator`, **verifying the job
 //!   fingerprint** (a plan pointed at edited CSVs fails loudly instead of
-//!   merging garbage), and computes micro-chunk partials for all seven
-//!   shardable estimator families through the `knnshap_core` shard entry
-//!   points.
+//!   merging garbage); every micro-chunk of all seven shardable families is
+//!   then one `Prepared::partial` call.
 //! * [`worker`] — the claim → compute → checkpoint → publish loop. A shard
 //!   is computed as a sequence of canonical micro-chunks; after each chunk
 //!   the accumulated partial (a valid `KNNSHARD` file covering a prefix of
@@ -63,18 +63,21 @@
 //! lease/checkpoint semantics, failure-mode table, worked example).
 //!
 //! ```no_run
-//! use knnshap_runtime::spec::{JobMethod, JobSpec, TaskKind};
+//! use knnshap_core::estimator::{Estimator, Family, Task};
+//! use knnshap_runtime::spec::JobSpec;
 //! use knnshap_runtime::supervisor::{run_job, SupervisorOptions};
 //! use knnshap_runtime::layout::JobDirs;
 //!
 //! let spec = JobSpec {
-//!     task: TaskKind::Class,
 //!     train: "train.csv".into(),
 //!     test: "test.csv".into(),
-//!     k: 3,
-//!     weight: knnshap_knn::weights::WeightFn::Uniform,
-//!     method: JobMethod::Exact,
-//!     seed: 42,
+//!     estimator: Estimator {
+//!         task: Task::Class,
+//!         k: 3,
+//!         weight: knnshap_knn::weights::WeightFn::Uniform,
+//!         family: Family::Exact,
+//!         seed: 42,
+//!     },
 //!     shards: 8,
 //!     checkpoint_chunks: 4,
 //! };
@@ -94,6 +97,7 @@ pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
+use knnshap_core::estimator::EstimatorError;
 use knnshap_core::sharding::ShardError;
 
 /// Everything that can go wrong planning, executing, or merging a job.
@@ -138,6 +142,17 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// An estimator's refusal: its parameter rules are spec errors, its input
+/// checks (dimensions, non-finite features, graph drift) dataset errors.
+impl From<EstimatorError> for JobError {
+    fn from(e: EstimatorError) -> Self {
+        match e {
+            EstimatorError::Unsupported(m) => JobError::Spec(m),
+            EstimatorError::Input(e) => JobError::Dataset(e.to_string()),
+        }
+    }
+}
 
 impl From<ShardError> for JobError {
     fn from(e: ShardError) -> Self {

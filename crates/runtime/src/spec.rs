@@ -50,6 +50,7 @@
 
 use crate::layout::JobDirs;
 use crate::{io_err, JobError};
+use knnshap_core::estimator::{Estimator, Family, Source, Task};
 use knnshap_core::sharding::{ShardKind, ShardSpec};
 use knnshap_knn::weights::WeightFn;
 use std::path::{Path, PathBuf};
@@ -61,90 +62,18 @@ pub const PLAN_FORMAT_VERSION: u32 = 1;
 /// First line of every plan file.
 pub const PLAN_MAGIC: &str = "KNNJOBPLAN";
 
-/// Which prediction task the datasets hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// Classification CSVs (features…, integer label).
-    Class,
-    /// Regression CSVs (features…, float target).
-    Reg,
-}
-
-impl TaskKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            TaskKind::Class => "class",
-            TaskKind::Reg => "reg",
-        }
-    }
-}
-
-/// The estimator family a job runs, with its family-specific parameter.
-///
-/// The stochastic families carry an **a-priori** stream budget (the
-/// sequential §6.2.2 heuristic stop cannot be sharded, so a fleet needs the
-/// budget fixed up front). LSH is deliberately absent: its index is planned
-/// from whole-test-set statistics and does not shard by test range (the CLI
-/// explains this; `docs/sharding.md` documents the planned index-once /
-/// stream-queries design).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JobMethod {
-    /// Exact per-test decomposition (Theorems 1/6/7; weighted via
-    /// [`JobSpec::weight`]).
-    Exact,
-    /// Truncated (ε, 0)-approximation (Theorem 2).
-    Truncated { eps: f64 },
-    /// Baseline Monte Carlo over `perms` permutation streams.
-    McBaseline { perms: usize },
-    /// Improved Monte Carlo (Algorithm 2) over `perms` permutation streams.
-    McImproved { perms: usize },
-    /// Group-testing baseline over `tests` coalition-test streams.
-    GroupTesting { tests: usize },
-}
-
-impl JobMethod {
-    pub fn name(self) -> &'static str {
-        match self {
-            JobMethod::Exact => "exact",
-            JobMethod::Truncated { .. } => "truncated",
-            JobMethod::McBaseline { .. } => "mc-baseline",
-            JobMethod::McImproved { .. } => "mc-improved",
-            JobMethod::GroupTesting { .. } => "group-testing",
-        }
-    }
-
-    fn eps(self) -> f64 {
-        match self {
-            JobMethod::Truncated { eps } => eps,
-            _ => 0.0,
-        }
-    }
-
-    fn perms(self) -> usize {
-        match self {
-            JobMethod::McBaseline { perms } | JobMethod::McImproved { perms } => perms,
-            JobMethod::GroupTesting { tests } => tests,
-            _ => 0,
-        }
-    }
-}
-
 /// What the operator asked for — everything `shard-plan` needs to derive a
-/// [`JobPlan`]. Every field is part of the job identity except `shards` and
-/// `checkpoint_chunks`, which partition the work without affecting a single
-/// output bit (the determinism contract).
+/// [`JobPlan`]. The estimator is the job's identity; `shards` and
+/// `checkpoint_chunks` partition the work without affecting a single output
+/// bit (the determinism contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    pub task: TaskKind,
-    /// Training CSV (classification or regression layout per `task`).
+    /// Training CSV (classification or regression layout per the task).
     pub train: PathBuf,
     /// Test CSV.
     pub test: PathBuf,
-    pub k: usize,
-    pub weight: WeightFn,
-    pub method: JobMethod,
-    /// RNG seed of the stochastic families (ignored by the exact ones).
-    pub seed: u64,
+    /// Task, family and parameters (`knnshap_core::estimator`).
+    pub estimator: Estimator,
     /// Worker-visible shard count.
     pub shards: usize,
     /// Checkpoint micro-chunks per shard: a killed worker loses at most one
@@ -153,44 +82,18 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Reject impossible combinations before any dataset is read.
+    /// Reject impossible jobs before any dataset is read: the partition
+    /// counts here, the estimator's own rules in `Estimator::check`.
     pub fn validate(&self) -> Result<(), JobError> {
-        let bad = |m: String| Err(JobError::Spec(m));
-        if self.k == 0 {
-            return bad("k must be at least 1".into());
-        }
         if self.shards == 0 {
-            return bad("need at least 1 shard".into());
+            return Err(JobError::Spec("need at least 1 shard".into()));
         }
         if self.checkpoint_chunks == 0 {
-            return bad("need at least 1 checkpoint chunk per shard".into());
+            return Err(JobError::Spec(
+                "need at least 1 checkpoint chunk per shard".into(),
+            ));
         }
-        let uniform = matches!(self.weight, WeightFn::Uniform);
-        match (self.task, self.method) {
-            (TaskKind::Reg, JobMethod::Exact) if uniform => Ok(()),
-            (TaskKind::Reg, JobMethod::Exact) => {
-                bad("regression jobs support uniform weights only".into())
-            }
-            (TaskKind::Reg, m) => bad(format!(
-                "regression jobs support method exact (got {})",
-                m.name()
-            )),
-            (TaskKind::Class, JobMethod::Truncated { .. }) if !uniform => {
-                bad("truncated supports uniform weights only".into())
-            }
-            (
-                TaskKind::Class,
-                JobMethod::McBaseline { perms: 0 }
-                | JobMethod::McImproved { perms: 0 }
-                | JobMethod::GroupTesting { tests: 0 },
-            ) => bad(
-                "sharded Monte Carlo / group testing needs a fixed stream budget: \
-                 pass --perms N (the §6.2.2 heuristic stop is sequential and \
-                 cannot be sharded)"
-                    .into(),
-            ),
-            (TaskKind::Class, _) => Ok(()),
-        }
+        Ok(self.estimator.check()?)
     }
 }
 
@@ -228,7 +131,9 @@ impl JobPlan {
     /// Serialize to the versioned plan-file text.
     pub fn to_file_string(&self) -> String {
         let s = &self.spec;
-        let (wname, wparam) = weight_parts(s.weight);
+        let e = &s.estimator;
+        let (wname, wparam) = weight_parts(e.weight);
+        let (eps, perms) = e.family.params();
         format!(
             "{PLAN_MAGIC} {PLAN_FORMAT_VERSION}\n\
              task {}\n\
@@ -247,14 +152,14 @@ impl JobPlan {
              fingerprint {:016x}\n\
              n-train {}\n\
              total-items {}\n",
-            s.task.name(),
+            e.task.name(),
             s.train.display(),
             s.test.display(),
-            s.k,
-            s.method.name(),
-            s.method.eps(),
-            s.method.perms(),
-            s.seed,
+            e.k,
+            e.family.name(),
+            eps,
+            perms,
+            e.seed,
             s.shards,
             s.checkpoint_chunks,
             self.kind.name(),
@@ -312,8 +217,8 @@ impl JobPlan {
         }
 
         let task = match take("task")?.as_str() {
-            "class" => TaskKind::Class,
-            "reg" => TaskKind::Reg,
+            "class" => Task::Class,
+            "reg" => Task::Reg,
             other => return Err(bad(format!("unknown task '{other}' (class, reg)"))),
         };
         let train = PathBuf::from(take("train")?);
@@ -325,19 +230,12 @@ impl JobPlan {
         let method_name = take("method")?;
         let eps = num!("eps", f64, "a number");
         let perms = num!("perms", usize, "an unsigned integer");
-        let method = match method_name.as_str() {
-            "exact" => JobMethod::Exact,
-            "truncated" => JobMethod::Truncated { eps },
-            "mc-baseline" => JobMethod::McBaseline { perms },
-            "mc-improved" => JobMethod::McImproved { perms },
-            "group-testing" => JobMethod::GroupTesting { tests: perms },
-            other => {
-                return Err(bad(format!(
-                    "unknown method '{other}' (exact, truncated, mc-baseline, \
-                     mc-improved, group-testing)"
-                )))
-            }
-        };
+        let family = Family::from_parts(&method_name, eps, perms).ok_or_else(|| {
+            bad(format!(
+                "unknown method '{method_name}' (exact, truncated, mc-baseline, \
+                 mc-improved, group-testing)"
+            ))
+        })?;
         let seed = num!("seed", u64, "an unsigned integer");
         let shards = num!("shards", usize, "an unsigned integer");
         let checkpoint_chunks = num!("checkpoint-chunks", usize, "an unsigned integer");
@@ -355,13 +253,15 @@ impl JobPlan {
 
         let plan = JobPlan {
             spec: JobSpec {
-                task,
                 train,
                 test,
-                k,
-                weight,
-                method,
-                seed,
+                estimator: Estimator {
+                    task,
+                    k,
+                    weight,
+                    family,
+                    seed,
+                },
                 shards,
                 checkpoint_chunks,
             },
@@ -389,30 +289,24 @@ impl JobPlan {
     }
 }
 
-/// Derive the [`JobPlan`] for a spec: load the datasets it names, validate
-/// the combination, and compute the job identity (kind, dataset-content
-/// fingerprint, item counts). This is the one place fingerprints enter the
-/// system; workers re-derive and compare (`dispatch::PreparedJob`).
+/// Derive the [`JobPlan`] for a spec: load the datasets it names and let
+/// the estimator validate them and derive the job identity (kind,
+/// dataset-content fingerprint, item counts). This is the one place
+/// fingerprints enter the system; workers re-derive and compare
+/// (`dispatch::prepare`).
 pub fn plan_job(spec: &JobSpec) -> Result<JobPlan, JobError> {
     spec.validate()?;
-    let data = crate::dispatch::load_data(spec)?;
-    let (kind, fingerprint) = crate::dispatch::job_identity(spec, &data);
-    let (n_train, n_test) = data.sizes();
-    if matches!(spec.method, JobMethod::GroupTesting { .. }) && n_train < 2 {
-        return Err(JobError::Spec(
-            "group testing needs at least two training points".into(),
-        ));
-    }
-    let total_items = match spec.method {
-        JobMethod::Exact | JobMethod::Truncated { .. } => n_test,
-        m => m.perms(),
-    };
+    let data = crate::dispatch::JobData::load(spec)?;
+    let id = spec
+        .estimator
+        .prepare(data.view(), Source::Brute)?
+        .identity();
     Ok(JobPlan {
         spec: spec.clone(),
-        kind,
-        fingerprint,
-        n_train: n_train as u64,
-        total_items: total_items as u64,
+        kind: id.kind,
+        fingerprint: id.fingerprint,
+        n_train: id.n_train,
+        total_items: id.total_items,
     })
 }
 
@@ -464,13 +358,15 @@ mod tests {
 
     fn spec() -> JobSpec {
         JobSpec {
-            task: TaskKind::Class,
             train: "/tmp/train.csv".into(),
             test: "/tmp/test.csv".into(),
-            k: 3,
-            weight: WeightFn::InverseDistance { eps: 1e-3 },
-            method: JobMethod::McImproved { perms: 500 },
-            seed: 9,
+            estimator: Estimator {
+                task: Task::Class,
+                k: 3,
+                weight: WeightFn::InverseDistance { eps: 1e-3 },
+                family: Family::McImproved { perms: 500 },
+                seed: 9,
+            },
             shards: 4,
             checkpoint_chunks: 3,
         }
@@ -514,21 +410,25 @@ mod tests {
     #[test]
     fn validate_rejects_impossible_combinations() {
         let mut s = spec();
-        s.task = TaskKind::Reg;
+        s.estimator.task = Task::Reg;
         assert!(s.validate().is_err(), "reg + mc");
-        s.method = JobMethod::Exact;
+        s.estimator.family = Family::Exact;
         assert!(s.validate().is_err(), "reg + weighted");
-        s.weight = WeightFn::Uniform;
+        s.estimator.weight = WeightFn::Uniform;
         assert!(s.validate().is_ok(), "reg + exact uniform");
 
         let mut s = spec();
-        s.method = JobMethod::McBaseline { perms: 0 };
+        s.estimator.family = Family::McBaseline { perms: 0 };
         let err = s.validate().unwrap_err();
         assert!(err.to_string().contains("--perms"), "{err}");
 
         let mut s = spec();
-        s.method = JobMethod::Truncated { eps: 0.1 };
+        s.estimator.family = Family::Truncated { eps: 0.1 };
         assert!(s.validate().is_err(), "truncated + weighted");
+
+        let mut s = spec();
+        s.estimator.k = 0;
+        assert!(s.validate().is_err(), "k = 0");
 
         let mut s = spec();
         s.shards = 0;

@@ -248,14 +248,8 @@ pub fn merge_job(dirs: &JobDirs, plan: &JobPlan) -> Result<MergedValuation, JobE
     // so this is the only place that catches CSVs edited after planning —
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
-    let data = crate::dispatch::load_data(&plan.spec)?;
-    let (_, fingerprint) = crate::dispatch::job_identity(&plan.spec, &data);
-    if fingerprint != plan.fingerprint {
-        return Err(JobError::FingerprintMismatch {
-            expected: plan.fingerprint,
-            found: fingerprint,
-        });
-    }
+    let data = crate::dispatch::JobData::load(&plan.spec)?;
+    crate::dispatch::prepare(plan, &data, None)?;
     let parts = queue::read_all_shards(dirs, plan.spec.shards)?;
     if let Some(p) = parts.first() {
         if p.meta.fingerprint != plan.fingerprint || p.meta.kind != plan.kind {

@@ -28,10 +28,12 @@
 //! `KNNSHAP_FAULT_AFTER_CHUNKS` environment variable (exiting the real
 //! process) for process-level CI smoke tests.
 
-use crate::dispatch::PreparedJob;
+use crate::dispatch::JobData;
 use crate::layout::JobDirs;
 use crate::queue;
+use crate::spec::JobPlan;
 use crate::{io_err, JobError};
+use knnshap_core::estimator::Prepared;
 use knnshap_core::sharding::ShardPartial;
 
 /// Where a fault hook is consulted (both are "between checkpoint writes").
@@ -89,18 +91,22 @@ pub struct WorkerReport {
 /// was accomplished; stale-lease recovery is the supervisor's business, not
 /// the worker's.
 pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerReport, JobError> {
-    let mut prepared = PreparedJob::load(dirs)?;
-    if let Some(path) = &opts.graph {
-        let graph = knnshap_knn::graph::KnnGraph::load(path)
-            .map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?;
-        prepared.attach_graph(graph)?;
-    }
+    let plan = JobPlan::load(dirs)?;
+    let data = JobData::load(&plan.spec)?;
+    let graph = match &opts.graph {
+        Some(path) => Some(
+            knnshap_knn::graph::KnnGraph::load(path)
+                .map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?,
+        ),
+        None => None,
+    };
+    let prepared = crate::dispatch::prepare(&plan, &data, graph.as_ref())?;
     let threads = if opts.threads == 0 {
         knnshap_parallel::current_threads()
     } else {
         opts.threads
     };
-    let shards = prepared.plan().spec.shards;
+    let shards = plan.spec.shards;
     let mut report = WorkerReport::default();
     loop {
         let mut claimed_any = false;
@@ -127,6 +133,7 @@ pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerRepor
             );
             compute_shard(
                 dirs,
+                &plan,
                 &prepared,
                 i,
                 &lease,
@@ -156,16 +163,17 @@ pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerRepor
 }
 
 /// Compute shard `i` chunk by chunk, resuming from a valid checkpoint.
+#[allow(clippy::too_many_arguments)]
 fn compute_shard(
     dirs: &JobDirs,
-    prepared: &PreparedJob,
+    plan: &JobPlan,
+    prepared: &Prepared<'_>,
     i: usize,
     lease: &queue::Lease,
     threads: usize,
     fault: &mut Option<FaultHook>,
     report: &mut WorkerReport,
 ) -> Result<(), JobError> {
-    let plan = prepared.plan();
     let chunks = plan.spec.checkpoint_chunks;
     let shard_range = plan.shard_range(i);
     let total = plan.total_items as usize;
@@ -191,7 +199,7 @@ fn compute_shard(
                 continue; // covered by the checkpoint
             }
         }
-        let part = prepared.compute_chunk(plan.micro_spec(i, c), threads);
+        let part = prepared.partial(plan.micro_spec(i, c), threads);
         report.chunks_computed += 1;
         match &mut acc {
             None => acc = Some(part),

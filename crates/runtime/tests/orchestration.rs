@@ -7,6 +7,7 @@
 //! CI replays this suite under `KNNSHAP_THREADS=1` and `=8`, extending the
 //! guarantee across thread counts.
 
+use knnshap_core::estimator::{Estimator, Family, Task};
 use knnshap_core::mc::{IncKnnUtility, StoppingRule};
 use knnshap_core::sharding::ShardKind;
 use knnshap_core::utility::KnnClassUtility;
@@ -16,7 +17,7 @@ use knnshap_datasets::synth::regression::{self, RegressionConfig};
 use knnshap_knn::weights::WeightFn;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::queue;
-use knnshap_runtime::spec::{plan_job, JobMethod, JobSpec, TaskKind};
+use knnshap_runtime::spec::{plan_job, JobSpec};
 use knnshap_runtime::supervisor::{merge_job, run_job, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
@@ -85,52 +86,60 @@ impl Drop for Workspace {
     }
 }
 
-/// The seven shardable families as job specs (paths filled by caller).
+/// A classification job over `(train, test)` with K, seed and uniform
+/// weights fixed.
+fn class_spec(
+    train: PathBuf,
+    test: PathBuf,
+    family: Family,
+    shards: usize,
+    checkpoint_chunks: usize,
+) -> JobSpec {
+    JobSpec {
+        train,
+        test,
+        estimator: Estimator {
+            task: Task::Class,
+            k: K,
+            weight: WeightFn::Uniform,
+            family,
+            seed: SEED,
+        },
+        shards,
+        checkpoint_chunks,
+    }
+}
+
+/// The seven shardable families as job specs.
 fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
     let (ct, cq) = ws.class_csvs();
     let (rt, rq) = ws.reg_csvs();
-    let class = |method, weight| JobSpec {
-        task: TaskKind::Class,
-        train: ct.clone(),
-        test: cq.clone(),
-        k: K,
-        weight,
-        method,
-        seed: SEED,
-        shards: 5,
-        checkpoint_chunks: 2,
+    let class = |family, weight| {
+        let mut spec = class_spec(ct.clone(), cq.clone(), family, 5, 2);
+        spec.estimator.weight = weight;
+        spec
     };
+    let mut reg = class(Family::Exact, WeightFn::Uniform);
+    (reg.train, reg.test, reg.estimator.task) = (rt, rq, Task::Reg);
     vec![
-        ("exact-class", class(JobMethod::Exact, WeightFn::Uniform)),
-        ("exact-weighted", class(JobMethod::Exact, WEIGHT)),
-        (
-            "exact-reg",
-            JobSpec {
-                task: TaskKind::Reg,
-                train: rt,
-                test: rq,
-                weight: WeightFn::Uniform,
-                ..class(JobMethod::Exact, WeightFn::Uniform)
-            },
-        ),
+        ("exact-class", class(Family::Exact, WeightFn::Uniform)),
+        ("exact-weighted", class(Family::Exact, WEIGHT)),
+        ("exact-reg", reg),
         (
             "truncated",
-            class(JobMethod::Truncated { eps: 0.2 }, WeightFn::Uniform),
+            class(Family::Truncated { eps: 0.2 }, WeightFn::Uniform),
         ),
         (
             "mc-baseline",
-            class(JobMethod::McBaseline { perms: PERMS }, WeightFn::Uniform),
+            class(Family::McBaseline { perms: PERMS }, WeightFn::Uniform),
         ),
         (
             "mc-improved",
-            class(JobMethod::McImproved { perms: PERMS }, WEIGHT),
+            class(Family::McImproved { perms: PERMS }, WEIGHT),
         ),
         (
             "group-testing",
-            class(
-                JobMethod::GroupTesting { tests: GT_TESTS },
-                WeightFn::Uniform,
-            ),
+            class(Family::GroupTesting { tests: GT_TESTS }, WeightFn::Uniform),
         ),
     ]
 }
@@ -138,56 +147,57 @@ fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
 /// The unsharded reference for a family, computed straight through core.
 fn reference(spec: &JobSpec) -> ShapleyValues {
     let threads = knnshap_parallel::current_threads();
-    match spec.task {
-        TaskKind::Reg => {
+    let e = spec.estimator;
+    match e.task {
+        Task::Reg => {
             let train = knnshap_datasets::io::load_reg_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_reg_csv(&spec.test).unwrap();
             knnshap_core::exact_regression::knn_reg_shapley_with_threads(
-                &train, &test, spec.k, threads,
+                &train, &test, e.k, threads,
             )
         }
-        TaskKind::Class => {
+        Task::Class => {
             let train = knnshap_datasets::io::load_class_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_class_csv(&spec.test).unwrap();
-            match spec.method {
-                JobMethod::Exact => match spec.weight {
+            match e.family {
+                Family::Exact => match e.weight {
                     WeightFn::Uniform => {
                         knnshap_core::exact_unweighted::knn_class_shapley_with_threads(
-                            &train, &test, spec.k, threads,
+                            &train, &test, e.k, threads,
                         )
                     }
                     w => knnshap_core::exact_weighted::weighted_knn_class_shapley(
-                        &train, &test, spec.k, w, threads,
+                        &train, &test, e.k, w, threads,
                     ),
                 },
-                JobMethod::Truncated { eps } => {
+                Family::Truncated { eps } => {
                     knnshap_core::truncated::truncated_class_shapley_with_threads(
-                        &train, &test, spec.k, eps, threads,
+                        &train, &test, e.k, eps, threads,
                     )
                 }
-                JobMethod::McBaseline { perms } => {
-                    let u = KnnClassUtility::new(&train, &test, spec.k, spec.weight);
+                Family::McBaseline { perms } => {
+                    let u = KnnClassUtility::new(&train, &test, e.k, e.weight);
                     knnshap_core::mc::mc_shapley_baseline(
                         &u,
                         StoppingRule::Fixed(perms),
-                        spec.seed,
+                        e.seed,
                         None,
                     )
                     .values
                 }
-                JobMethod::McImproved { perms } => {
-                    let mut u = IncKnnUtility::classification(&train, &test, spec.k, spec.weight);
+                Family::McImproved { perms } => {
+                    let mut u = IncKnnUtility::classification(&train, &test, e.k, e.weight);
                     knnshap_core::mc::mc_shapley_improved(
                         &mut u,
                         StoppingRule::Fixed(perms),
-                        spec.seed,
+                        e.seed,
                         None,
                     )
                     .values
                 }
-                JobMethod::GroupTesting { tests } => {
-                    let u = KnnClassUtility::new(&train, &test, spec.k, spec.weight);
-                    knnshap_core::group_testing::group_testing_shapley(&u, tests, spec.seed).values
+                Family::GroupTesting { tests } => {
+                    let u = KnnClassUtility::new(&train, &test, e.k, e.weight);
+                    knnshap_core::group_testing::group_testing_shapley(&u, tests, e.seed).values
                 }
             }
         }
@@ -250,17 +260,7 @@ fn all_seven_families_match_unsharded_at_every_worker_count() {
 fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
     let ws = Workspace::new("crash");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t,
-        test: q,
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::Truncated { eps: 0.2 },
-        seed: SEED,
-        shards: 2,
-        checkpoint_chunks: 4,
-    };
+    let spec = class_spec(t, q, Family::Truncated { eps: 0.2 }, 2, 4);
     let want = reference(&spec);
     let plan = plan_job(&spec).unwrap();
 
@@ -333,17 +333,7 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
 fn supervisor_reassigns_after_crash_and_respawns() {
     let ws = Workspace::new("respawn");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t,
-        test: q,
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
-        shards: 4,
-        checkpoint_chunks: 2,
-    };
+    let spec = class_spec(t, q, Family::Exact, 4, 2);
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
     plan_job(&spec).unwrap().save(&dirs).unwrap();
@@ -382,17 +372,13 @@ fn supervisor_reassigns_after_crash_and_respawns() {
 fn corrupt_or_foreign_checkpoints_are_ignored() {
     let ws = Workspace::new("ckpt");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t.clone(),
-        test: q.clone(),
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::McImproved { perms: PERMS },
-        seed: SEED,
-        shards: 2,
-        checkpoint_chunks: 2,
-    };
+    let spec = class_spec(
+        t.clone(),
+        q.clone(),
+        Family::McImproved { perms: PERMS },
+        2,
+        2,
+    );
     let want = reference(&spec);
     let plan = plan_job(&spec).unwrap();
 
@@ -410,10 +396,8 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
 
     // A different job's (valid!) checkpoint: same shape, different seed ⇒
     // different fingerprint ⇒ ignored.
-    let foreign_spec = JobSpec {
-        seed: SEED + 1,
-        ..spec.clone()
-    };
+    let mut foreign_spec = spec.clone();
+    foreign_spec.estimator.seed = SEED + 1;
     let foreign_plan = plan_job(&foreign_spec).unwrap();
     let fdirs = ws.job_dirs("foreign-src");
     foreign_plan.save(&fdirs).unwrap();
@@ -438,17 +422,7 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
 fn dataset_drift_and_wrong_job_fail_loudly() {
     let ws = Workspace::new("drift");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t.clone(),
-        test: q,
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
-        shards: 2,
-        checkpoint_chunks: 1,
-    };
+    let spec = class_spec(t.clone(), q, Family::Exact, 2, 1);
     let plan = plan_job(&spec).unwrap();
     let dirs = ws.job_dirs("job");
     plan.save(&dirs).unwrap();
@@ -481,11 +455,9 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
     // A *consistent* plan for a different job (k = 3) over the same
     // datasets passes the content check but must reject this directory's
     // k = 2 shards.
-    let other_plan = plan_job(&JobSpec {
-        k: K + 1,
-        ..spec.clone()
-    })
-    .unwrap();
+    let mut other_spec = spec.clone();
+    other_spec.estimator.k = K + 1;
+    let other_plan = plan_job(&other_spec).unwrap();
     let err = merge_job(&dirs, &other_plan).unwrap_err();
     assert!(err.to_string().contains("another job"), "{err}");
 }
@@ -496,17 +468,7 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
 fn oversharded_jobs_merge_identically() {
     let ws = Workspace::new("overshard");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t,
-        test: q,
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
-        shards: 11, // > 7 test points: several empty shards
-        checkpoint_chunks: 3,
-    };
+    let spec = class_spec(t, q, Family::Exact, 11, 3);
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
     plan_job(&spec).unwrap().save(&dirs).unwrap();
@@ -528,17 +490,7 @@ fn oversharded_jobs_merge_identically() {
 fn shard_files_are_canonical_across_runs_and_worker_counts() {
     let ws = Workspace::new("canon");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
-        task: TaskKind::Class,
-        train: t,
-        test: q,
-        k: K,
-        weight: WeightFn::Uniform,
-        method: JobMethod::GroupTesting { tests: GT_TESTS },
-        seed: SEED,
-        shards: 3,
-        checkpoint_chunks: 2,
-    };
+    let spec = class_spec(t, q, Family::GroupTesting { tests: GT_TESTS }, 3, 2);
     let plan = plan_job(&spec).unwrap();
     let (a, b) = (ws.job_dirs("a"), ws.job_dirs("b"));
     for (dirs, workers) in [(&a, 1usize), (&b, 4usize)] {
@@ -560,4 +512,34 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
         );
     }
     assert_eq!(plan.kind, ShardKind::GroupTesting);
+}
+
+/// A dataset with a non-finite feature is refused at plan time with the
+/// pipeline's message — never accepted, so no worker ever respawns into a
+/// panic on it.
+#[test]
+fn plan_job_refuses_non_finite_features() {
+    let ws = Workspace::new("nan");
+    let (t, q) = ws.class_csvs();
+    let text = std::fs::read_to_string(&q).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let row: Vec<&str> = lines[1].split(',').collect();
+    lines[1] = std::iter::once("NaN")
+        .chain(row[1..].iter().copied())
+        .collect::<Vec<_>>()
+        .join(",");
+    std::fs::write(&q, lines.join("\n") + "\n").unwrap();
+    for family in [
+        Family::Exact,
+        Family::Truncated { eps: 0.2 },
+        Family::McImproved { perms: PERMS },
+    ] {
+        let err = plan_job(&class_spec(t.clone(), q.clone(), family, 2, 1)).unwrap_err();
+        assert!(matches!(err, JobError::Dataset(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("test row 1 contains a NaN/infinite feature"),
+            "{err}"
+        );
+    }
 }

@@ -11,6 +11,7 @@
 
 use knnshap::datasets::synth::regression::{self, RegressionConfig, Surface};
 use knnshap::knn::WeightFn;
+use knnshap::valuation::estimator::Source;
 use knnshap::valuation::exact_regression::knn_reg_shapley;
 use knnshap::valuation::exact_weighted::weighted_knn_reg_shapley;
 use knnshap::valuation::utility::{KnnRegUtility, Utility};
@@ -75,6 +76,7 @@ fn main() {
         &sub_queries,
         3,
         WeightFn::InverseDistance { eps: 1e-6 },
+        Source::Brute,
         threads,
     );
     println!(

@@ -1,12 +1,16 @@
 //! Scaffolding shared by the determinism batteries
-//! (`parallel_determinism.rs`, `mc_determinism.rs`): bitwise comparison
-//! helpers and seeded random instance generators.
+//! (`parallel_determinism.rs`, `mc_determinism.rs`, the shard and graph
+//! batteries): bitwise comparison helpers, seeded random instance
+//! generators, and the shard/merge round trip of an estimator.
 //!
 //! Not every suite uses every helper, and each test target compiles this
 //! module independently, so dead-code warnings are silenced wholesale.
 #![allow(dead_code)]
 
 use knnshap::datasets::{ClassDataset, Features, RegDataset};
+use knnshap::knn::WeightFn;
+use knnshap::valuation::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap::valuation::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap::valuation::types::ShapleyValues;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -57,4 +61,51 @@ pub fn random_reg(rng: &mut StdRng, n: usize, n_test: usize) -> (RegDataset, Reg
     let ttargets: Vec<f64> = (0..n_test).map(|_| rng.gen_range(-2.0..2.0)).collect();
     let test = RegDataset::new(Features::new(tfeats, 2), ttargets);
     (train, test)
+}
+
+/// Shard counts the sharding batteries check every family at (1 = trivial
+/// split, 2 = even, 7 = deliberately awkward against the item counts).
+pub const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
+/// Per-shard thread counts of the sharding batteries.
+pub const SHARD_THREADS: [usize; 2] = [1, 8];
+
+/// Prepare `est` over `data` with rankings from `source`, then for every
+/// (shard count, thread count) combination compute the partials,
+/// round-trip each through the versioned wire format (what lands on disk
+/// is what merges), merge, and compare bitwise against `reference`.
+pub fn check_sharded(
+    reference: &ShapleyValues,
+    what: &str,
+    est: &Estimator,
+    data: Data<'_>,
+    source: Source<'_>,
+) {
+    let job = est.prepare(data, source).expect("prepare");
+    for shards in SHARD_COUNTS {
+        for threads in SHARD_THREADS {
+            let parts: Vec<ShardPartial> = (0..shards)
+                .map(|i| {
+                    let p = job.partial(ShardSpec::new(i, shards), threads);
+                    ShardPartial::from_bytes(&p.to_bytes()).expect("round trip")
+                })
+                .collect();
+            let merged = merge_partials(&parts).expect("merge");
+            assert_bitwise(
+                reference,
+                &merged.values,
+                &format!("{what}: {shards} shards x {threads} threads"),
+            );
+        }
+    }
+}
+
+/// A classification estimator with the given family, K, weights and seed.
+pub fn class_estimator(family: Family, k: usize, weight: WeightFn, seed: u64) -> Estimator {
+    Estimator {
+        task: Task::Class,
+        k,
+        weight,
+        family,
+        seed,
+    }
 }

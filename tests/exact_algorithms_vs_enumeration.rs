@@ -11,6 +11,7 @@ use knnshap::valuation::composite::{
     GameForm,
 };
 use knnshap::valuation::curator::{curator_class_shapley_single, Ownership, SellerUtility};
+use knnshap::valuation::estimator::Source;
 use knnshap::valuation::exact_enum::shapley_enumeration;
 use knnshap::valuation::exact_regression::{knn_reg_shapley_single, knn_reg_shapley_with_threads};
 use knnshap::valuation::exact_unweighted::{
@@ -230,7 +231,7 @@ proptest! {
         let train = RegDataset::new(Features::new(feats.clone(), 2), targets);
         let test = RegDataset::new(Features::new(qfeats.clone(), 2), qtargets);
         let w = WeightFn::Exponential { beta: 1.0 };
-        let fast = weighted_knn_reg_shapley(&train, &test, k, w, 4);
+        let fast = weighted_knn_reg_shapley(&train, &test, k, w, Source::Brute, 4);
         let truth = shapley_enumeration(&KnnRegUtility::new(&train, &test, k, w));
         prop_assert!(fast.max_abs_diff(&truth) < 1e-8);
     }

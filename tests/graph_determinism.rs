@@ -1,9 +1,10 @@
-//! Differential battery for graph-backed valuation (ISSUE 7): every
-//! estimator family that accepts a precomputed `KNNGRAPH` artifact must
-//! reproduce its brute-force sibling **bit for bit** — unsharded, across
-//! {1, 2, 7} shards, at {1, 8} threads per shard, and with the graph
-//! round-tripped through the wire format before use (what ships on disk is
-//! what computes).
+//! Differential battery for graph-backed valuation: every estimator family
+//! that accepts a precomputed `KNNGRAPH` artifact (`Source::Graph`) must
+//! reproduce its brute-force sibling **bit for bit** — unsharded (through
+//! the pipeline), across {1, 2, 7} shards, at {1, 8} threads per shard, and
+//! with the graph round-tripped through the wire format before use (what
+//! ships on disk is what computes). Graph-backed and brute-force shards of
+//! every kind inter-merge.
 //!
 //! Two adversarial datasets ride along: a k-boundary instance (k = N, so
 //! every training point is always in the neighborhood) and an
@@ -15,43 +16,26 @@
 use knnshap::datasets::{ClassDataset, Features};
 use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
-use knnshap::valuation::exact_regression::{
-    knn_reg_shapley_from_graph, knn_reg_shapley_graph_shard, knn_reg_shapley_with_threads,
-};
-use knnshap::valuation::exact_unweighted::{
-    knn_class_shapley_from_graph, knn_class_shapley_graph_shard, knn_class_shapley_shard,
-    knn_class_shapley_with_threads,
-};
-use knnshap::valuation::exact_weighted::{
-    weighted_knn_class_shapley, weighted_knn_class_shapley_from_graph,
-    weighted_knn_class_shapley_graph_shard, weighted_knn_reg_shapley,
-    weighted_knn_reg_shapley_from_graph,
-};
-use knnshap::valuation::group_testing::{
-    group_testing_shapley_shard, group_testing_shapley_with_threads,
-};
+use knnshap::valuation::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap::valuation::exact_regression::knn_reg_shapley_with_threads;
+use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
+use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
+use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_shapley_baseline_shard, mc_shapley_baseline_with_threads, mc_shapley_improved_shard,
-    mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
+    mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
+use knnshap::valuation::pipeline::{KnnShapley, Method, RegMethod, RegShapley};
 use knnshap::valuation::resident::ResidentValuator;
-use knnshap::valuation::sharding::{merge_partials, ShardPartial, ShardSpec};
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_from_graph, truncated_class_shapley_graph_shard,
-    truncated_class_shapley_with_threads,
-};
-use knnshap::valuation::types::ShapleyValues;
-use knnshap::valuation::utility::{KnnClassUtility, Utility};
+use knnshap::valuation::sharding::{merge_partials, ShardSpec};
+use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
+use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
-
-/// Shard counts every graph-backed family is checked at.
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-/// Per-shard thread counts.
-const THREADS: [usize; 2] = [1, 8];
+use common::{
+    assert_bitwise, check_sharded, class_estimator, random_class, random_reg, SHARD_THREADS,
+};
 
 /// Build the graph for `(train, test)` features and round-trip it through
 /// the wire format, so every assertion downstream exercises the decoder's
@@ -63,27 +47,32 @@ fn wire_graph(train: &Features, test: &Features) -> KnnGraph {
     decoded
 }
 
-/// Merge `make_shard` partials at every (shard, thread) combination and
-/// compare bitwise against `reference` (the brute-force, graph-free run).
-fn check_family<F>(reference: &ShapleyValues, what: &str, make_shard: F)
-where
-    F: Fn(ShardSpec, usize) -> ShardPartial,
-{
-    for shards in SHARD_COUNTS {
-        for threads in THREADS {
-            let parts: Vec<ShardPartial> = (0..shards)
-                .map(|i| {
-                    let p = make_shard(ShardSpec::new(i, shards), threads);
-                    ShardPartial::from_bytes(&p.to_bytes()).expect("round trip")
-                })
-                .collect();
-            let merged = merge_partials(&parts).expect("merge");
-            assert_bitwise(
-                reference,
-                &merged.values,
-                &format!("{what}: {shards} shards x {threads} threads"),
-            );
-        }
+fn class<'a>(train: &'a ClassDataset, test: &'a ClassDataset) -> Data<'a> {
+    Data::Class { train, test }
+}
+
+/// The graph-backed unsharded run of a classification `method` through the
+/// pipeline, at every per-shard thread count, against `reference`.
+fn check_pipeline(
+    reference: &knnshap::valuation::ShapleyValues,
+    what: &str,
+    (train, test, graph): (&ClassDataset, &ClassDataset, &KnnGraph),
+    (k, weight, method): (usize, WeightFn, Method),
+) {
+    for threads in SHARD_THREADS {
+        let via_graph = KnnShapley::new(train, test)
+            .k(k)
+            .weight(weight)
+            .method(method)
+            .threads(threads)
+            .graph(graph)
+            .run()
+            .expect("graph-backed run");
+        assert_bitwise(
+            reference,
+            &via_graph,
+            &format!("{what} via graph, threads={threads}"),
+        );
     }
 }
 
@@ -93,17 +82,19 @@ fn exact_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     for k in [1usize, 3] {
         let reference = knn_class_shapley_with_threads(&train, &test, k, 1);
-        for threads in THREADS {
-            assert_bitwise(
-                &reference,
-                &knn_class_shapley_from_graph(&train, &test, k, &graph, threads),
-                &format!("exact class from_graph k={k} threads={threads}"),
-            );
-        }
-        check_family(
+        check_pipeline(
             &reference,
             &format!("exact class k={k}"),
-            |spec, threads| knn_class_shapley_graph_shard(&train, &test, k, &graph, spec, threads),
+            (&train, &test, &graph),
+            (k, WeightFn::Uniform, Method::Exact),
+        );
+        let est = class_estimator(Family::Exact, k, WeightFn::Uniform, 0);
+        check_sharded(
+            &reference,
+            &format!("exact class k={k}"),
+            &est,
+            class(&train, &test),
+            Source::Graph(&graph),
         );
     }
 }
@@ -113,16 +104,28 @@ fn exact_regression_graph_shards_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x72), 70, 23);
     let graph = wire_graph(&train.x, &test.x);
     let reference = knn_reg_shapley_with_threads(&train, &test, 3, 1);
-    for threads in THREADS {
+    for threads in SHARD_THREADS {
+        let via_graph = RegShapley::new(&train, &test)
+            .k(3)
+            .threads(threads)
+            .graph(&graph)
+            .run()
+            .unwrap();
         assert_bitwise(
             &reference,
-            &knn_reg_shapley_from_graph(&train, &test, 3, &graph, threads),
-            &format!("exact reg from_graph threads={threads}"),
+            &via_graph,
+            &format!("exact reg via graph threads={threads}"),
         );
     }
-    check_family(&reference, "exact reg", |spec, threads| {
-        knn_reg_shapley_graph_shard(&train, &test, 3, &graph, spec, threads)
-    });
+    let est = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::Exact, 3, WeightFn::Uniform, 0)
+    };
+    let data = Data::Reg {
+        train: &train,
+        test: &test,
+    };
+    check_sharded(&reference, "exact reg", &est, data, Source::Graph(&graph));
 }
 
 #[test]
@@ -131,16 +134,20 @@ fn weighted_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let reference = weighted_knn_class_shapley(&train, &test, 2, weight, 1);
-    for threads in THREADS {
-        assert_bitwise(
-            &reference,
-            &weighted_knn_class_shapley_from_graph(&train, &test, 2, weight, &graph, threads),
-            &format!("weighted class from_graph threads={threads}"),
-        );
-    }
-    check_family(&reference, "weighted class", |spec, threads| {
-        weighted_knn_class_shapley_graph_shard(&train, &test, 2, weight, &graph, spec, threads)
-    });
+    check_pipeline(
+        &reference,
+        "weighted class",
+        (&train, &test, &graph),
+        (2, weight, Method::Exact),
+    );
+    let est = class_estimator(Family::Exact, 2, weight, 0);
+    check_sharded(
+        &reference,
+        "weighted class",
+        &est,
+        class(&train, &test),
+        Source::Graph(&graph),
+    );
 }
 
 #[test]
@@ -148,14 +155,38 @@ fn weighted_regression_graph_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x74), 40, 11);
     let graph = wire_graph(&train.x, &test.x);
     let weight = WeightFn::InverseDistance { eps: 1e-2 };
-    let reference = weighted_knn_reg_shapley(&train, &test, 2, weight, 1);
-    for threads in THREADS {
+    let reference = weighted_knn_reg_shapley(&train, &test, 2, weight, Source::Brute, 1);
+    for threads in SHARD_THREADS {
         assert_bitwise(
             &reference,
-            &weighted_knn_reg_shapley_from_graph(&train, &test, 2, weight, &graph, threads),
-            &format!("weighted reg from_graph threads={threads}"),
+            &weighted_knn_reg_shapley(&train, &test, 2, weight, Source::Graph(&graph), threads),
+            &format!("weighted reg via graph threads={threads}"),
         );
     }
+}
+
+/// A graph of the right shape built from other features must be refused by
+/// the public weighted-regression entry, not silently used.
+#[test]
+#[should_panic(expected = "graph/dataset mismatch")]
+fn weighted_regression_refuses_graph_of_other_features() {
+    let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x74), 40, 11);
+    let (other, _) = random_reg(&mut StdRng::seed_from_u64(0x7a), 40, 11);
+    let graph = wire_graph(&other.x, &test.x);
+    let weight = WeightFn::InverseDistance { eps: 1e-2 };
+    weighted_knn_reg_shapley(&train, &test, 2, weight, Source::Graph(&graph), 1);
+}
+
+/// A graph of the wrong shape fails with the mismatch message, not an
+/// index panic.
+#[test]
+#[should_panic(expected = "graph/dataset mismatch")]
+fn weighted_regression_refuses_graph_of_other_shape() {
+    let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x74), 40, 11);
+    let (small, _) = random_reg(&mut StdRng::seed_from_u64(0x7b), 30, 11);
+    let graph = wire_graph(&small.x, &test.x);
+    let weight = WeightFn::InverseDistance { eps: 1e-2 };
+    weighted_knn_reg_shapley(&train, &test, 2, weight, Source::Graph(&graph), 1);
 }
 
 #[test]
@@ -163,16 +194,21 @@ fn truncated_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x75), 90, 17, 3);
     let graph = wire_graph(&train.x, &test.x);
     let reference = truncated_class_shapley_with_threads(&train, &test, 2, 0.15, 1);
-    for threads in THREADS {
-        assert_bitwise(
-            &reference,
-            &truncated_class_shapley_from_graph(&train, &test, 2, 0.15, &graph, threads),
-            &format!("truncated from_graph threads={threads}"),
-        );
-    }
-    check_family(&reference, "truncated", |spec, threads| {
-        truncated_class_shapley_graph_shard(&train, &test, 2, 0.15, &graph, spec, threads)
-    });
+    let method = Method::Truncated { eps: 0.15 };
+    check_pipeline(
+        &reference,
+        "truncated",
+        (&train, &test, &graph),
+        (2, WeightFn::Uniform, method),
+    );
+    let est = class_estimator(Family::Truncated { eps: 0.15 }, 2, WeightFn::Uniform, 0);
+    check_sharded(
+        &reference,
+        "truncated",
+        &est,
+        class(&train, &test),
+        Source::Graph(&graph),
+    );
 }
 
 #[test]
@@ -180,14 +216,21 @@ fn mc_baseline_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x76), 25, 4, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = KnnClassUtility::unweighted(&train, &test, 2);
-    let backed = KnnClassUtility::from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
-    // Same dataset-content fingerprint: MC shards built on either utility
-    // inter-merge.
-    assert_eq!(brute.fingerprint(), backed.fingerprint());
     let reference = mc_shapley_baseline_with_threads(&brute, StoppingRule::Fixed(100), 7, None, 1);
-    check_family(&reference.values, "mc baseline", |spec, threads| {
-        mc_shapley_baseline_shard(&backed, 100, 7, spec, threads)
-    });
+    let est = class_estimator(Family::McBaseline { perms: 100 }, 2, WeightFn::Uniform, 7);
+    // Same identity either way: MC shards built on either source inter-merge.
+    let data = class(&train, &test);
+    assert_eq!(
+        est.prepare(data, Source::Brute).unwrap().identity(),
+        est.prepare(data, Source::Graph(&graph)).unwrap().identity()
+    );
+    check_sharded(
+        &reference.values,
+        "mc baseline",
+        &est,
+        data,
+        Source::Graph(&graph),
+    );
 }
 
 #[test]
@@ -195,12 +238,15 @@ fn mc_improved_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x77), 40, 5, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
-    let backed =
-        IncKnnUtility::classification_from_graph(&train, &test, 3, WeightFn::Uniform, &graph);
     let reference = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(100), 11, None, 1);
-    check_family(&reference.values, "mc improved", |spec, threads| {
-        mc_shapley_improved_shard(&backed, 100, 11, spec, threads)
-    });
+    let est = class_estimator(Family::McImproved { perms: 100 }, 3, WeightFn::Uniform, 11);
+    check_sharded(
+        &reference.values,
+        "mc improved",
+        &est,
+        class(&train, &test),
+        Source::Graph(&graph),
+    );
 }
 
 #[test]
@@ -208,10 +254,18 @@ fn mc_improved_regression_graph_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x78), 30, 6);
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::regression(&train, &test, 2, WeightFn::Uniform);
-    let backed = IncKnnUtility::regression_from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
     let a = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(60), 5, None, 1);
-    let b = mc_shapley_improved_with_threads(&backed, StoppingRule::Fixed(60), 5, None, 8);
-    assert_bitwise(&a.values, &b.values, "mc improved regression via graph");
+    let b = RegShapley::new(&train, &test)
+        .k(2)
+        .method(RegMethod::McImproved {
+            rule: StoppingRule::Fixed(60),
+            seed: 5,
+        })
+        .threads(8)
+        .graph(&graph)
+        .run()
+        .unwrap();
+    assert_bitwise(&a.values, &b, "mc improved regression via graph");
 }
 
 #[test]
@@ -219,28 +273,70 @@ fn group_testing_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x79), 15, 3, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = KnnClassUtility::unweighted(&train, &test, 2);
-    let backed = KnnClassUtility::from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
     let reference = group_testing_shapley_with_threads(&brute, 500, 13, 1);
-    check_family(&reference.values, "group testing", |spec, threads| {
-        group_testing_shapley_shard(&backed, 500, 13, spec, threads)
-    });
+    let est = class_estimator(
+        Family::GroupTesting { tests: 500 },
+        2,
+        WeightFn::Uniform,
+        13,
+    );
+    check_sharded(
+        &reference.values,
+        "group testing",
+        &est,
+        class(&train, &test),
+        Source::Graph(&graph),
+    );
 }
 
 #[test]
 fn graph_and_brute_force_shards_inter_merge() {
     // The headline operational property: a job may mix workers that have
     // the artifact with workers that do not — the shards carry the same
-    // kind and fingerprint, so the merge neither knows nor cares.
+    // kind and fingerprint, so the merge neither knows nor cares. Checked
+    // for every shard kind: brute-force shards 0 and 2, a graph-backed
+    // shard 1, compared with the all-brute-force merge.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x7A), 50, 13, 3);
+    let (rtrain, rtest) = random_reg(&mut StdRng::seed_from_u64(0x7B), 40, 9);
     let graph = wire_graph(&train.x, &test.x);
-    let reference = knn_class_shapley_with_threads(&train, &test, 2, 1);
-    let parts = [
-        knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(0, 3), 1),
-        knn_class_shapley_graph_shard(&train, &test, 2, &graph, ShardSpec::new(1, 3), 8),
-        knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(2, 3), 8),
+    let rgraph = wire_graph(&rtrain.x, &rtest.x);
+    let uniform = WeightFn::Uniform;
+    let reg = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::Exact, 2, uniform, 0)
+    };
+    let rdata = Data::Reg {
+        train: &rtrain,
+        test: &rtest,
+    };
+    let class_jobs = [
+        class_estimator(Family::Exact, 2, uniform, 0),
+        class_estimator(Family::Exact, 2, WeightFn::InverseDistance { eps: 1e-3 }, 0),
+        class_estimator(Family::Truncated { eps: 0.2 }, 2, uniform, 0),
+        class_estimator(Family::McBaseline { perms: 9 }, 2, uniform, 3),
+        class_estimator(Family::McImproved { perms: 30 }, 2, uniform, 3),
+        class_estimator(Family::GroupTesting { tests: 90 }, 2, uniform, 3),
     ];
-    let merged = merge_partials(&parts).expect("mixed merge");
-    assert_bitwise(&reference, &merged.values, "brute-force + graph shards");
+    let jobs = class_jobs
+        .iter()
+        .map(|e| (e, class(&train, &test), &graph))
+        .chain([(&reg, rdata, &rgraph)]);
+    for (est, data, graph) in jobs {
+        let brute = est.prepare(data, Source::Brute).unwrap();
+        let backed = est.prepare(data, Source::Graph(graph)).unwrap();
+        let parts = [
+            brute.partial(ShardSpec::new(0, 3), 1),
+            backed.partial(ShardSpec::new(1, 3), 8),
+            brute.partial(ShardSpec::new(2, 3), 8),
+        ];
+        let mixed = merge_partials(&parts).expect("mixed merge");
+        let whole = merge_partials(&[brute.partial(ShardSpec::full(), 1)]).unwrap();
+        assert_bitwise(
+            &whole.values,
+            &mixed.values,
+            &format!("brute-force + graph shards, {:?}", est.family),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,9 +351,14 @@ fn k_boundary_graph_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     for k in [train.len(), train.len() + 3] {
         let reference = knn_class_shapley_with_threads(&train, &test, k, 1);
-        check_family(&reference, &format!("k-boundary k={k}"), |spec, threads| {
-            knn_class_shapley_graph_shard(&train, &test, k, &graph, spec, threads)
-        });
+        let est = class_estimator(Family::Exact, k, WeightFn::Uniform, 0);
+        check_sharded(
+            &reference,
+            &format!("k-boundary k={k}"),
+            &est,
+            class(&train, &test),
+            Source::Graph(&graph),
+        );
     }
 }
 
@@ -289,15 +390,21 @@ fn all_duplicate_distances_graph_bitwise() {
         assert_eq!(order, expected, "tie-break order for test point {j}");
     }
     let reference = knn_class_shapley_with_threads(&train, &test, 3, 1);
-    check_family(&reference, "all-duplicate exact", |spec, threads| {
-        knn_class_shapley_graph_shard(&train, &test, 3, &graph, spec, threads)
-    });
+    let est = class_estimator(Family::Exact, 3, WeightFn::Uniform, 0);
+    check_sharded(
+        &reference,
+        "all-duplicate exact",
+        &est,
+        class(&train, &test),
+        Source::Graph(&graph),
+    );
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let wref = weighted_knn_class_shapley(&train, &test, 3, weight, 1);
-    assert_bitwise(
+    check_pipeline(
         &wref,
-        &weighted_knn_class_shapley_from_graph(&train, &test, 3, weight, &graph, 8),
         "all-duplicate weighted",
+        (&train, &test, &graph),
+        (3, weight, Method::Exact),
     );
 }
 
@@ -309,7 +416,7 @@ fn all_duplicate_distances_graph_bitwise() {
 fn resident_valuator_with_graph_matches_cold_start() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x7C), 35, 8, 3);
     let graph = wire_graph(&train.x, &test.x);
-    for threads in THREADS {
+    for threads in SHARD_THREADS {
         let cold = ResidentValuator::new(train.clone(), test.clone(), 2, threads).expect("cold");
         let seeded = ResidentValuator::with_graph(train.clone(), test.clone(), 2, threads, &graph)
             .expect("seeded");

@@ -13,6 +13,7 @@
 
 use knnshap::knn::classifier::KnnClassifier;
 use knnshap::knn::WeightFn;
+use knnshap::valuation::estimator::Source;
 use knnshap::valuation::exact_regression::knn_reg_shapley_with_threads;
 use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
 use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
@@ -76,9 +77,9 @@ fn weighted_classification_bitwise_across_thread_counts() {
 fn weighted_regression_bitwise_across_thread_counts() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(17), 30, 120);
     let w = WeightFn::Exponential { beta: 0.5 };
-    let serial = weighted_knn_reg_shapley(&train, &test, 2, w, 1);
+    let serial = weighted_knn_reg_shapley(&train, &test, 2, w, Source::Brute, 1);
     for threads in THREAD_COUNTS {
-        let par = weighted_knn_reg_shapley(&train, &test, 2, w, threads);
+        let par = weighted_knn_reg_shapley(&train, &test, 2, w, Source::Brute, threads);
         assert_bitwise(&serial, &par, &format!("weighted reg t={threads}"));
     }
 }
@@ -169,9 +170,9 @@ proptest! {
     ) {
         let (train, test) = random_reg(&mut StdRng::seed_from_u64(seed), n, n_test);
         let w = WeightFn::Exponential { beta: 1.0 };
-        let serial = weighted_knn_reg_shapley(&train, &test, k, w, 1);
+        let serial = weighted_knn_reg_shapley(&train, &test, k, w, Source::Brute, 1);
         for threads in THREAD_COUNTS {
-            let par = weighted_knn_reg_shapley(&train, &test, k, w, threads);
+            let par = weighted_knn_reg_shapley(&train, &test, k, w, Source::Brute, threads);
             prop_assert!(bitwise_ok(&serial, &par), "threads={threads}");
         }
     }

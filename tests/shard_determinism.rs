@@ -1,74 +1,41 @@
-//! Determinism battery for the sharded valuation runtime (ISSUE 4),
-//! completing the trilogy of `parallel_determinism.rs` (thread counts) and
-//! `mc_determinism.rs` (stochastic estimators): for every estimator with a
-//! shard-range entry point — exact classification/regression/weighted,
-//! truncated, baseline/improved MC, group testing — splitting the job into
-//! {1, 2, 7} shards, running each shard at {1, 8} threads, round-tripping
-//! every partial through the versioned wire format, and merging must
-//! reproduce the unsharded estimator **bit for bit**.
+//! Determinism battery for the sharded valuation runtime, completing the
+//! trilogy of `parallel_determinism.rs` (thread counts) and
+//! `mc_determinism.rs` (stochastic estimators): for every shardable
+//! `Estimator` — exact classification/regression/weighted, truncated,
+//! baseline/improved MC, group testing — splitting the job into {1, 2, 7}
+//! shards, running each shard at {1, 8} threads, round-tripping every
+//! partial through the versioned wire format, and merging must reproduce
+//! the unsharded estimator **bit for bit**. (`graph_determinism.rs` runs
+//! the same battery with `Source::Graph`.)
 //!
 //! A second layer pins the merge protocol itself: input-order invariance,
 //! and loud rejection of version mismatches, mixed jobs (different seeds ⇒
 //! different fingerprints), coverage gaps and overlaps.
 
+use knnshap::datasets::ClassDataset;
 use knnshap::knn::WeightFn;
-use knnshap::valuation::exact_regression::{knn_reg_shapley_shard, knn_reg_shapley_with_threads};
-use knnshap::valuation::exact_unweighted::{
-    knn_class_shapley_shard, knn_class_shapley_with_threads,
-};
-use knnshap::valuation::exact_weighted::{
-    weighted_knn_class_shapley, weighted_knn_class_shapley_shard,
-};
-use knnshap::valuation::group_testing::{
-    group_testing_shapley_shard, group_testing_shapley_with_threads,
-};
+use knnshap::valuation::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap::valuation::exact_regression::knn_reg_shapley_with_threads;
+use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
+use knnshap::valuation::exact_weighted::weighted_knn_class_shapley;
+use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_shapley_baseline_shard, mc_shapley_baseline_with_threads, mc_shapley_improved_shard,
-    mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
+    mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
 use knnshap::valuation::sharding::{
     merge_partials, ShardError, ShardPartial, ShardSpec, SHARD_FORMAT_VERSION,
 };
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_shard, truncated_class_shapley_with_threads,
-};
+use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
 use knnshap::valuation::types::ShapleyValues;
 use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, check_sharded, class_estimator, random_class, random_reg};
 
-/// Shard counts every family is checked at (1 = trivial split, 2 = even,
-/// 7 = deliberately awkward against 31 test points / 100 permutations).
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-/// Per-shard thread counts.
-const THREADS: [usize; 2] = [1, 8];
-
-/// Run `make_shard` for every (shard, thread) combination, round-trip each
-/// partial through bytes, merge, and compare bitwise against `reference`.
-fn check_family<F>(reference: &ShapleyValues, what: &str, make_shard: F)
-where
-    F: Fn(ShardSpec, usize) -> ShardPartial,
-{
-    for shards in SHARD_COUNTS {
-        for threads in THREADS {
-            let parts: Vec<ShardPartial> = (0..shards)
-                .map(|i| {
-                    let p = make_shard(ShardSpec::new(i, shards), threads);
-                    // Wire-format round trip: what lands on disk is what merges.
-                    ShardPartial::from_bytes(&p.to_bytes()).expect("round trip")
-                })
-                .collect();
-            let merged = merge_partials(&parts).expect("merge");
-            assert_bitwise(
-                reference,
-                &merged.values,
-                &format!("{what}: {shards} shards x {threads} threads"),
-            );
-        }
-    }
+fn class<'a>(train: &'a ClassDataset, test: &'a ClassDataset) -> Data<'a> {
+    Data::Class { train, test }
 }
 
 #[test]
@@ -83,10 +50,13 @@ fn exact_classification_shards_bitwise() {
             "exact class unsharded across threads",
         );
         // …and every shard/thread combination must land on the same bits.
-        check_family(
+        let est = class_estimator(Family::Exact, k, WeightFn::Uniform, 0);
+        check_sharded(
             &reference,
             &format!("exact class k={k}"),
-            |spec, threads| knn_class_shapley_shard(&train, &test, k, spec, threads),
+            &est,
+            class(&train, &test),
+            Source::Brute,
         );
     }
 }
@@ -95,9 +65,15 @@ fn exact_classification_shards_bitwise() {
 fn exact_regression_shards_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0xB2), 70, 23);
     let reference = knn_reg_shapley_with_threads(&train, &test, 3, 1);
-    check_family(&reference, "exact reg", |spec, threads| {
-        knn_reg_shapley_shard(&train, &test, 3, spec, threads)
-    });
+    let est = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::Exact, 3, WeightFn::Uniform, 0)
+    };
+    let data = Data::Reg {
+        train: &train,
+        test: &test,
+    };
+    check_sharded(&reference, "exact reg", &est, data, Source::Brute);
 }
 
 #[test]
@@ -105,18 +81,28 @@ fn weighted_classification_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0xC3), 30, 9, 2);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let reference = weighted_knn_class_shapley(&train, &test, 2, weight, 1);
-    check_family(&reference, "weighted class", |spec, threads| {
-        weighted_knn_class_shapley_shard(&train, &test, 2, weight, spec, threads)
-    });
+    let est = class_estimator(Family::Exact, 2, weight, 0);
+    check_sharded(
+        &reference,
+        "weighted class",
+        &est,
+        class(&train, &test),
+        Source::Brute,
+    );
 }
 
 #[test]
 fn truncated_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0xD4), 90, 17, 3);
     let reference = truncated_class_shapley_with_threads(&train, &test, 2, 0.15, 1);
-    check_family(&reference, "truncated", |spec, threads| {
-        truncated_class_shapley_shard(&train, &test, 2, 0.15, spec, threads)
-    });
+    let est = class_estimator(Family::Truncated { eps: 0.15 }, 2, WeightFn::Uniform, 0);
+    check_sharded(
+        &reference,
+        "truncated",
+        &est,
+        class(&train, &test),
+        Source::Brute,
+    );
 }
 
 #[test]
@@ -125,9 +111,14 @@ fn mc_baseline_shards_bitwise() {
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let reference =
         mc_shapley_baseline_with_threads(&u, StoppingRule::Fixed(100), 7, None, 1).values;
-    check_family(&reference, "mc baseline", |spec, threads| {
-        mc_shapley_baseline_shard(&u, 100, 7, spec, threads)
-    });
+    let est = class_estimator(Family::McBaseline { perms: 100 }, 2, WeightFn::Uniform, 7);
+    check_sharded(
+        &reference,
+        "mc baseline",
+        &est,
+        class(&train, &test),
+        Source::Brute,
+    );
 }
 
 #[test]
@@ -136,9 +127,14 @@ fn mc_improved_shards_bitwise() {
     let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
     let reference =
         mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(100), 11, None, 1).values;
-    check_family(&reference, "mc improved", |spec, threads| {
-        mc_shapley_improved_shard(&inc, 100, 11, spec, threads)
-    });
+    let est = class_estimator(Family::McImproved { perms: 100 }, 3, WeightFn::Uniform, 11);
+    check_sharded(
+        &reference,
+        "mc improved",
+        &est,
+        class(&train, &test),
+        Source::Brute,
+    );
 }
 
 #[test]
@@ -146,38 +142,116 @@ fn group_testing_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x17), 15, 3, 2);
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let reference = group_testing_shapley_with_threads(&u, 500, 13, 1).values;
-    check_family(&reference, "group testing", |spec, threads| {
-        group_testing_shapley_shard(&u, 500, 13, spec, threads)
-    });
+    let est = class_estimator(
+        Family::GroupTesting { tests: 500 },
+        2,
+        WeightFn::Uniform,
+        13,
+    );
+    check_sharded(
+        &reference,
+        "group testing",
+        &est,
+        class(&train, &test),
+        Source::Brute,
+    );
+}
+
+/// Shard `i` of `count` of `est` over classification data.
+fn shard(
+    est: &Estimator,
+    train: &ClassDataset,
+    test: &ClassDataset,
+    i: usize,
+    count: usize,
+    threads: usize,
+) -> ShardPartial {
+    est.prepare(class(train, test), Source::Brute)
+        .expect("prepare")
+        .partial(ShardSpec::new(i, count), threads)
 }
 
 // ---------------------------------------------------------------------------
 // Golden KNNSHARD files: the wire format pinned independently of the encoder.
 // ---------------------------------------------------------------------------
 
-/// Recompute shard 1 of 2 of three small jobs and compare each with the
-/// committed file under `tests/fixtures/`, written by an earlier encoder
-/// (one `ExactSum` register per training point). The accumulator's storage
-/// may change; these bytes may not. The regression job's contributions
-/// reach past 1 in magnitude, so its slots mix lane and register state.
+/// Recompute shard 1 of 2 of one small job per shard kind — plus the
+/// weighted exact-classification job, which shares a kind with the
+/// unweighted one — and compare each with the committed file under
+/// `tests/fixtures/`, written by earlier encoders. The accumulator's storage
+/// may change and the entry points may be redesigned; these bytes may not.
+/// The regression job's contributions reach past 1 in magnitude, so its
+/// slots mix lane and register state.
 #[test]
 fn shard_files_match_golden_fixtures() {
     let spec = ShardSpec::new(1, 2);
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x60), 60, 12, 3);
     let (rtrain, rtest) = random_reg(&mut StdRng::seed_from_u64(0x61), 60, 12);
-    let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
+    let uniform = WeightFn::Uniform;
+    let of = |est: Estimator| shard(&est, &train, &test, 1, 2, 1);
+    let reg = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::Exact, 3, uniform, 0)
+    };
+    let reg_data = Data::Reg {
+        train: &rtrain,
+        test: &rtest,
+    };
     let cases = [
         (
             "exact_class_1of2.knnshard",
-            knn_class_shapley_shard(&train, &test, 3, spec, 1),
+            of(class_estimator(Family::Exact, 3, uniform, 0)),
         ),
         (
             "exact_reg_1of2.knnshard",
-            knn_reg_shapley_shard(&rtrain, &rtest, 3, spec, 1),
+            reg.prepare(reg_data, Source::Brute)
+                .unwrap()
+                .partial(spec, 1),
         ),
         (
             "mc_improved_1of2.knnshard",
-            mc_shapley_improved_shard(&inc, 64, 11, spec, 1),
+            of(class_estimator(
+                Family::McImproved { perms: 64 },
+                3,
+                uniform,
+                11,
+            )),
+        ),
+        (
+            "weighted_class_1of2.knnshard",
+            of(class_estimator(
+                Family::Exact,
+                2,
+                WeightFn::InverseDistance { eps: 1e-3 },
+                0,
+            )),
+        ),
+        (
+            "truncated_1of2.knnshard",
+            of(class_estimator(
+                Family::Truncated { eps: 0.2 },
+                3,
+                uniform,
+                0,
+            )),
+        ),
+        (
+            "mc_baseline_1of2.knnshard",
+            of(class_estimator(
+                Family::McBaseline { perms: 16 },
+                3,
+                uniform,
+                11,
+            )),
+        ),
+        (
+            "group_testing_1of2.knnshard",
+            of(class_estimator(
+                Family::GroupTesting { tests: 64 },
+                3,
+                uniform,
+                11,
+            )),
         ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -195,6 +269,35 @@ fn shard_files_match_golden_fixtures() {
     }
 }
 
+/// One committed `KNNJOBPLAN` file per method (written by an earlier
+/// `shard-plan`, dataset paths replaced by `/data/…`): each must parse, and
+/// re-serializing must reproduce it byte for byte — the plan text is a
+/// format, not an implementation detail of the spec types.
+#[test]
+fn plan_files_match_golden_fixtures() {
+    use knnshap::runtime::spec::JobPlan;
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/plans");
+    let expected = [
+        ("exact_class", "exact-class"),
+        ("exact_reg", "exact-reg"),
+        ("truncated", "truncated"),
+        ("mc_baseline", "mc-baseline"),
+        ("mc_improved", "mc-improved"),
+        ("group_testing", "group-testing"),
+    ];
+    for (name, kind) in expected {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.knnjobplan")))
+            .expect("fixture present");
+        let plan = JobPlan::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(plan.kind.name(), kind, "{name}");
+        assert_eq!(
+            plan.to_file_string(),
+            text,
+            "{name}: parse → serialize drifted"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Merge protocol: ordering, versioning, and failure modes.
 // ---------------------------------------------------------------------------
@@ -202,8 +305,9 @@ fn shard_files_match_golden_fixtures() {
 fn three_shards() -> (ShapleyValues, Vec<ShardPartial>) {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x28), 40, 10, 2);
     let reference = knn_class_shapley_with_threads(&train, &test, 2, 1);
+    let est = class_estimator(Family::Exact, 2, WeightFn::Uniform, 0);
     let parts = (0..3)
-        .map(|i| knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(i, 3), 1))
+        .map(|i| shard(&est, &train, &test, i, 3, 1))
         .collect();
     (reference, parts)
 }
@@ -234,18 +338,19 @@ fn merge_rejects_version_mismatch() {
 #[test]
 fn merge_rejects_mixed_seeds_sizes_and_coverage_faults() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x39), 20, 4, 2);
-    let u = KnnClassUtility::unweighted(&train, &test, 2);
+    let mc =
+        |perms, seed| class_estimator(Family::McBaseline { perms }, 2, WeightFn::Uniform, seed);
     let parts: Vec<ShardPartial> = (0..2)
-        .map(|i| mc_shapley_baseline_shard(&u, 40, 1, ShardSpec::new(i, 2), 1))
+        .map(|i| shard(&mc(40, 1), &train, &test, i, 2, 1))
         .collect();
 
     // Same job, different seed ⇒ fingerprint mismatch.
-    let alien = mc_shapley_baseline_shard(&u, 40, 2, ShardSpec::new(1, 2), 1);
+    let alien = shard(&mc(40, 2), &train, &test, 1, 2, 1);
     let err = merge_partials(&[parts[0].clone(), alien]).unwrap_err();
     assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
 
     // Different budget ⇒ different total_items.
-    let short = mc_shapley_baseline_shard(&u, 30, 1, ShardSpec::new(1, 2), 1);
+    let short = shard(&mc(30, 1), &train, &test, 1, 2, 1);
     let err = merge_partials(&[parts[0].clone(), short]).unwrap_err();
     assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
 
@@ -263,8 +368,9 @@ fn oversharded_jobs_merge_through_empty_shards() {
     // must still reproduce the unsharded bits.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x4A), 30, 4, 2);
     let reference = knn_class_shapley_with_threads(&train, &test, 1, 1);
+    let est = class_estimator(Family::Exact, 1, WeightFn::Uniform, 0);
     let parts: Vec<ShardPartial> = (0..7)
-        .map(|i| knn_class_shapley_shard(&train, &test, 1, ShardSpec::new(i, 7), 1))
+        .map(|i| shard(&est, &train, &test, i, 7, 1))
         .collect();
     assert!(parts.iter().any(|p| p.meta.item_lo == p.meta.item_hi));
     let merged = merge_partials(&parts).expect("merge with empty shards");
@@ -276,9 +382,10 @@ fn shard_files_are_canonical_across_thread_counts() {
     // Same shard computed at 1 and 8 threads serializes to identical BYTES —
     // the property that lets operators checksum shard files.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x5B), 60, 12, 3);
+    let est = class_estimator(Family::Exact, 2, WeightFn::Uniform, 0);
     for i in 0..2 {
-        let a = knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(i, 2), 1);
-        let b = knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(i, 2), 8);
+        let a = shard(&est, &train, &test, i, 2, 1);
+        let b = shard(&est, &train, &test, i, 2, 8);
         assert_eq!(a.to_bytes(), b.to_bytes(), "shard {i} bytes");
     }
 }

@@ -3,7 +3,7 @@
 //! budget fanned across the pool as counter-based RNG streams — timed at
 //! 1/2/4/8 threads on the N = 2000 smoke config, once through the static
 //! schedule and once through the measured-cost-model scheduler
-//! (`mc_shapley_improved_adaptive`). This is the complement of
+//! (`Workers::measured`). This is the complement of
 //! `bench_parallel_scaling`, which parallelizes *across* independent MC runs;
 //! here the estimator's own inner loop scales.
 //!
@@ -24,9 +24,8 @@
 //! on 4-core runners where the 8-thread cell oversubscribes. Leave it unset
 //! on single-core machines — see docs/benchmarks.md.
 
-use knnshap_core::mc::{
-    mc_shapley_improved_adaptive, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
-};
+use knnshap_core::mc::{mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule};
+use knnshap_core::schedule::Workers;
 use knnshap_datasets::synth::deepfeat::EmbeddingSpec;
 use knnshap_knn::weights::WeightFn;
 use std::time::Instant;
@@ -51,11 +50,12 @@ fn main() {
     let run = |adaptive: bool, threads: usize| -> (f64, Vec<f64>) {
         let rule = StoppingRule::Fixed(perms);
         let start = Instant::now();
-        let res = if adaptive {
-            mc_shapley_improved_adaptive(&inc, rule, 1, None, threads)
+        let workers = if adaptive {
+            Workers::measured(threads)
         } else {
-            mc_shapley_improved_with_threads(&inc, rule, 1, None, threads)
+            Workers::from(threads)
         };
+        let res = mc_shapley_improved_with_threads(&inc, rule, 1, None, workers);
         (start.elapsed().as_secs_f64(), res.values.into_vec())
     };
 

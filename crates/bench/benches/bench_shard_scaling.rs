@@ -55,7 +55,9 @@ fn main() {
         task: Task::Class,
         k,
         weight: WeightFn::Uniform,
-        family: Family::McImproved { perms },
+        family: Family::McImproved {
+            rule: StoppingRule::Fixed(perms),
+        },
         seed,
     };
     let data = Data::Class {

@@ -6,12 +6,10 @@
 //! recall/precision/AUC.
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::commands::load_pair;
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::{per_class_summary, DetectionCurve};
-use knnshap_core::estimator::Task;
-use knnshap_core::pipeline::KnnShapley;
 use std::path::Path;
 
 const ALLOWED: &[&str] = &[
@@ -41,26 +39,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let inspect = args.usize_or("inspect", 20)?.min(train.len());
 
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let shards = args.usize_or("shards", 0)?;
-    let graph = super::load_graph(args, &train.x, &test.x)?;
     let started = std::time::Instant::now();
-    let (sv, permutations) = if shards > 0 {
-        let estimator = super::parse_estimator(args, Task::Class, k, 0)?;
-        super::shard::run_sharded(&train, &test, estimator, graph.as_ref(), shards, threads)?
-    } else {
-        let mut builder = KnnShapley::new(&train, &test)
-            .k(k)
-            .weight(parse_weight(args)?)
-            .method(parse_method(args)?)
-            .threads(threads)
-            .adaptive(args.flag("adaptive"));
-        if let Some(g) = &graph {
-            builder = builder.graph(g);
-        }
-        let report = builder.run_report()?;
-        (report.values, report.permutations)
-    };
+    let valuation = super::valuation(args, &train, &test, k, threads)?;
     let secs = started.elapsed().as_secs_f64();
+    let (sv, permutations) = (valuation.values, valuation.permutations);
 
     let mut out = String::new();
     out.push_str(&format!(

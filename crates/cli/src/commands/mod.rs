@@ -12,9 +12,9 @@ pub mod watch;
 
 use crate::args::{ArgError, Args};
 use crate::CliError;
-use knnshap_core::estimator::{Estimator, Family, Task};
-use knnshap_core::mc::StoppingRule;
-use knnshap_core::pipeline::Method;
+use knnshap_core::estimator::{Data, Estimator, Family, Task, Valuation};
+use knnshap_core::lsh_approx::{lsh_class_shapley_planned, LSH_UNSHARDABLE};
+use knnshap_core::schedule::Schedule;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
@@ -50,64 +50,16 @@ pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), Cli
     Ok((train, test))
 }
 
-/// Resolves `--method`/`--eps`/`--delta`/`--seed`/`--perms` into a pipeline
-/// [`Method`]. The MC methods default to the §6.2.2 heuristic stop; an
-/// explicit `--perms N` pins a fixed N-permutation budget instead — the
-/// form the sharded runtime requires (a shard cannot evaluate a sequential
-/// stopping criterion).
-pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
-    let eps = args.f64_or("eps", 0.1)?;
-    let delta = args.f64_or("delta", 0.1)?;
-    let seed = args.u64_or("seed", 42)?;
-    let perms = args.usize_or("perms", 0)?;
-    let mc_rule = |heuristic_max: usize| match perms {
-        0 => StoppingRule::Heuristic {
-            threshold: knnshap_core::bounds::heuristic_threshold(eps),
-            max: heuristic_max,
-        },
-        t => StoppingRule::Fixed(t),
-    };
-    match args.str("method").unwrap_or("exact") {
-        "exact" => Ok(Method::Exact),
-        "truncated" => Ok(Method::Truncated { eps }),
-        "lsh" => Ok(Method::Lsh {
-            eps,
-            delta,
-            max_tables: args.usize_or("max-tables", 64)?,
-        }),
-        "mc-baseline" => Ok(Method::McBaseline {
-            rule: mc_rule(50_000),
-            seed,
-        }),
-        "mc-improved" => Ok(Method::McImproved {
-            rule: mc_rule(200_000),
-            seed,
-        }),
-        other => Err(CliError::Invalid(format!(
-            "unknown method '{other}' (exact, truncated, lsh, mc-baseline, mc-improved)"
-        ))),
-    }
-}
-
-/// Why `--method lsh` is rejected by every sharded command — the full
-/// explanation, not a generic "unsupported" line, because the obvious
-/// workaround (build a per-shard index) silently breaks the determinism
-/// contract. The planned sharding design for LSH is documented in
-/// `docs/sharding.md` ("Why LSH does not shard yet").
-pub(crate) const LSH_UNSHARDABLE: &str =
-    "the LSH method cannot shard by test range: its index needs whole-test-set \
-     statistics (the relative-contrast estimate that picks hash width, table \
-     count and probe schedule), so independently built per-shard indexes would \
-     answer queries differently and the merged values would not match the \
-     unsharded run. Planned design: build the index once, then stream query \
-     ranges through OnlineValuator workers — see docs/sharding.md";
-
 /// Resolves `--method`/`--eps`/`--perms`/`--seed`/`--weight` into the
-/// shardable [`Estimator`] that `shard`, `merge`, `shard-plan` and
-/// `value`/`audit --shards` run. `lsh` is refused with the full
-/// explanation, and the estimator's own rules refuse a stochastic family
-/// without a fixed budget (`--perms`; `perms_default` where the budget is
-/// already pinned, as `merge`'s shard files pin it) before any data is read.
+/// [`Estimator`] every valuing command runs: `value`/`audit` unsharded or
+/// with `--shards`, `shard`, `merge`, `shard-plan`. The Monte Carlo
+/// families stop by the §6.2.2 heuristic unless `--perms N` pins a fixed
+/// budget (`perms_default` where the budget is already pinned, as
+/// `merge`'s shard files pin it). `lsh` is refused with the full
+/// explanation of why it cannot shard — `value`/`audit` run it through
+/// [`valuation`] before reaching this parser — and the estimator's own
+/// rules refuse out-of-range parameters before any data is read; the
+/// sharding rules (a fixed budget among them) apply when a job is prepared.
 pub(crate) fn parse_estimator(
     args: &Args,
     task: Task,
@@ -122,7 +74,7 @@ pub(crate) fn parse_estimator(
     let perms = args.usize_or("perms", perms_default)?;
     let family = Family::from_parts(name, eps, perms).ok_or_else(|| {
         CliError::Invalid(format!(
-            "unknown method '{name}' (exact, truncated, mc-baseline, mc-improved, \
+            "unknown method '{name}' (exact, truncated, lsh, mc-baseline, mc-improved, \
              group-testing)"
         ))
     })?;
@@ -135,6 +87,50 @@ pub(crate) fn parse_estimator(
     };
     estimator.check()?;
     Ok(estimator)
+}
+
+/// The valuation `value` and `audit` report: `--method lsh` through the
+/// planned LSH entry (which shards nowhere and does its own retrieval),
+/// every other method through [`parse_estimator`] — unsharded via
+/// `Estimator::run` (`--adaptive` picks the measured schedule), or with
+/// `--shards N` through the in-process shard/merge round trip.
+pub(crate) fn valuation(
+    args: &Args,
+    train: &ClassDataset,
+    test: &ClassDataset,
+    k: usize,
+    threads: usize,
+) -> Result<Valuation, CliError> {
+    let shards = args.usize_or("shards", 0)?;
+    let graph = load_graph(args, &train.x, &test.x)?;
+    if args.str("method") == Some("lsh") {
+        let refuse = |m: &str| Err(CliError::Invalid(m.into()));
+        if shards > 0 {
+            return refuse(LSH_UNSHARDABLE);
+        }
+        if graph.is_some() {
+            return refuse("lsh performs its own retrieval and cannot use --graph");
+        }
+        if parse_weight(args)? != WeightFn::Uniform {
+            return refuse("lsh supports uniform weights only");
+        }
+        let eps = args.f64_or("eps", 0.1)?;
+        let delta = args.f64_or("delta", 0.1)?;
+        let max_tables = args.usize_or("max-tables", 64)?;
+        let sv = lsh_class_shapley_planned(train, test, k, eps, delta, max_tables)?;
+        return Ok(sv.into());
+    }
+    let estimator = parse_estimator(args, Task::Class, k, 0)?;
+    if shards > 0 {
+        return shard::run_sharded(train, test, estimator, graph.as_ref(), shards, threads);
+    }
+    let schedule = if args.flag("adaptive") {
+        Schedule::Measured
+    } else {
+        Schedule::Static
+    };
+    let data = Data::Class { train, test };
+    Ok(estimator.run(data, graph.as_ref().into(), threads, schedule)?)
 }
 
 /// The per-permutation throughput line the MC paths of `value` and `audit`
@@ -221,14 +217,21 @@ mod tests {
         for (name, ok) in [
             ("exact", true),
             ("truncated", true),
-            ("lsh", true),
             ("mc-baseline", true),
             ("mc-improved", true),
+            ("group-testing", false), // no --perms: no test budget
+            ("lsh", false),           // every estimator shards; lsh does not
             ("bogus", false),
         ] {
             let args = Args::parse(["value", "--method", name]).unwrap();
-            assert_eq!(parse_method(&args).is_ok(), ok, "{name}");
+            assert_eq!(
+                parse_estimator(&args, Task::Class, 1, 0).is_ok(),
+                ok,
+                "{name}"
+            );
         }
+        let args = Args::parse(["value", "--method", "group-testing", "--perms", "9"]).unwrap();
+        assert!(parse_estimator(&args, Task::Class, 1, 0).is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::args::Args;
 use crate::commands::{load_pair, parse_estimator};
 use crate::CliError;
-use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+use knnshap_core::estimator::{Data, Estimator, Family, Source, Task, Valuation};
 use knnshap_core::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
@@ -37,7 +37,7 @@ pub(crate) fn run_sharded(
     graph: Option<&KnnGraph>,
     shards: usize,
     threads: usize,
-) -> Result<(knnshap_core::ShapleyValues, Option<usize>), CliError> {
+) -> Result<Valuation, CliError> {
     let job = estimator.prepare(Data::Class { train, test }, graph.into())?;
     let parts: Vec<ShardPartial> = (0..shards)
         .map(|i| {
@@ -46,8 +46,10 @@ pub(crate) fn run_sharded(
         })
         .collect::<Result<_, _>>()?;
     let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    let perms = is_mc(estimator).then_some(merged.items as usize);
-    Ok((merged.values, perms))
+    Ok(Valuation {
+        values: merged.values,
+        permutations: is_mc(estimator).then_some(merged.items as usize),
+    })
 }
 
 /// The families whose reports carry a permutation-throughput line.
@@ -81,6 +83,7 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
     args.expect_only(SHARD_ALLOWED)?;
     let k = super::parse_k(args)?;
     let estimator = parse_estimator(args, Task::Class, k, 0)?;
+    estimator.check_shardable()?;
     let (train, test) = load_pair(args)?;
     args.require("shard-index")?;
     args.require("shard-count")?;

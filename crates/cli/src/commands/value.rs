@@ -1,12 +1,10 @@
 //! `knnshap value` — compute per-point values, optionally price them.
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_k, parse_method, parse_weight};
+use crate::commands::{load_pair, parse_k};
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
-use knnshap_core::estimator::Task;
-use knnshap_core::pipeline::KnnShapley;
 use knnshap_core::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_numerics::stats::Summary;
@@ -41,31 +39,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let (train, test) = load_pair(args)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
     let top = args.usize_or("top", 10)?;
-    let shards = args.usize_or("shards", 0)?;
-    let adaptive = args.flag("adaptive");
-
-    let graph = super::load_graph(args, &train.x, &test.x)?;
 
     let started = std::time::Instant::now();
-    let (sv, permutations) = if shards > 0 {
-        // In-process sharded run: N partials through the wire format, then
-        // the deterministic merge — bitwise-identical to the unsharded path.
-        let estimator = super::parse_estimator(args, Task::Class, k, 0)?;
-        super::shard::run_sharded(&train, &test, estimator, graph.as_ref(), shards, threads)?
-    } else {
-        let mut builder = KnnShapley::new(&train, &test)
-            .k(k)
-            .weight(parse_weight(args)?)
-            .method(parse_method(args)?)
-            .threads(threads)
-            .adaptive(adaptive);
-        if let Some(g) = &graph {
-            builder = builder.graph(g);
-        }
-        let report = builder.run_report()?;
-        (report.values, report.permutations)
-    };
+    let valuation = super::valuation(args, &train, &test, k, threads)?;
     let secs = started.elapsed().as_secs_f64();
+    let (sv, permutations) = (valuation.values, valuation.permutations);
 
     // Per-permutation throughput of the (parallel) MC paths — the number to
     // watch when tuning --threads.

@@ -31,8 +31,8 @@ pub enum CliError {
     UnknownCommand(String),
     /// Dataset file problems.
     Io(knnshap_datasets::io::IoError),
-    /// Valuation pipeline configuration problems.
-    Pipeline(knnshap_core::pipeline::PipelineError),
+    /// Datasets (or a graph) the estimators cannot value.
+    Input(knnshap_core::estimator::InputError),
     /// Shard-file or shard-merge problems (`shard`/`merge`/`--shards`).
     Shard(knnshap_core::sharding::ShardError),
     /// Job-orchestration problems (`shard-plan`/`worker`/`run-job`).
@@ -55,7 +55,7 @@ impl std::fmt::Display for CliError {
                 )
             }
             CliError::Io(e) => write!(f, "{e}"),
-            CliError::Pipeline(e) => write!(f, "{e}"),
+            CliError::Input(e) => write!(f, "{e}"),
             CliError::Shard(e) => write!(f, "{e}"),
             CliError::Runtime(e) => write!(f, "{e}"),
             CliError::Serve(m) => write!(f, "{m}"),
@@ -78,20 +78,14 @@ impl From<knnshap_datasets::io::IoError> for CliError {
     }
 }
 
-impl From<knnshap_core::pipeline::PipelineError> for CliError {
-    fn from(e: knnshap_core::pipeline::PipelineError) -> Self {
-        CliError::Pipeline(e)
-    }
-}
-
 /// An estimator's refusal: a parameter rule is a command-line error, an
-/// input check (dimensions, non-finite features, graph drift) the same
-/// error the pipeline reports.
+/// input check (dimensions, non-finite features, graph drift) an input
+/// error.
 impl From<knnshap_core::estimator::EstimatorError> for CliError {
     fn from(e: knnshap_core::estimator::EstimatorError) -> Self {
         match e {
             knnshap_core::estimator::EstimatorError::Unsupported(m) => CliError::Invalid(m),
-            knnshap_core::estimator::EstimatorError::Input(e) => CliError::Pipeline(e),
+            knnshap_core::estimator::EstimatorError::Input(e) => CliError::Input(e),
         }
     }
 }
@@ -112,7 +106,7 @@ USAGE: knnshap <command> [--option value]...
 COMMANDS
   value     compute per-point Shapley values of a training CSV
             --train FILE --test FILE [--k 1] [--method exact|truncated|lsh|
-            mc-baseline|mc-improved] [--eps 0.1] [--delta 0.1]
+            mc-baseline|mc-improved|group-testing] [--eps 0.1] [--delta 0.1]
             [--weight uniform|inverse|exponential] [--weight-param X]
             [--threads N] [--shards N] [--perms N] [--top 10] [--out FILE]
             [--graph FILE]               (skip the distance pass; bitwise-

@@ -360,7 +360,7 @@ fn nan_pair(tag: &str) -> (PathBuf, PathBuf, TempFiles) {
 #[test]
 fn sharded_paths_refuse_non_finite_features() {
     // Every sharded entry runs the estimator's input checks: exit 1 with the
-    // pipeline's message, never a panic (exit 101) deep in a distance sort,
+    // unsharded run's message, never a panic (exit 101) deep in a distance sort,
     // and never a plan whose workers would respawn into that panic.
     let (train, test, _guard) = nan_pair("nan");
     let out = temp_path("nan.shard");
@@ -487,4 +487,199 @@ fn merge_refuses_lsh_like_shard() {
         "merge", "--train", t, "--test", q, "--k", "2", "--inputs", &inputs,
     ])
     .expect("exact merge");
+}
+
+/// Runs the real binary; returns its exit code and stderr.
+fn knnshap_bin(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_knnshap"))
+        .args(args)
+        .output()
+        .expect("spawn knnshap");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Synthesizes a small 3-d train/test pair under `tag`.
+fn synth_pair(tag: &str, n: &str) -> (PathBuf, PathBuf, TempFiles) {
+    let train = temp_path(&format!("{tag}_train.csv"));
+    let test = temp_path(&format!("{tag}_test.csv"));
+    knnshap_cli::run([
+        "synth",
+        "--kind",
+        "blobs",
+        "--n",
+        n,
+        "--dim",
+        "3",
+        "--classes",
+        "2",
+        "--out",
+        train.to_str().unwrap(),
+        "--queries",
+        "6",
+        "--queries-out",
+        test.to_str().unwrap(),
+    ])
+    .expect("synth");
+    let guard = TempFiles(vec![train.clone(), test.clone()]);
+    (train, test, guard)
+}
+
+#[test]
+fn out_of_range_parameters_are_refused_not_panicked() {
+    // Each of these would panic deep in an estimator (exit 101 with a
+    // backtrace) if it got past the estimator's parameter check — or the
+    // LSH entry's — which must refuse it with exit 1 and one line naming
+    // the parameter.
+    let (train, test, _guard) = synth_pair("range", "40");
+    let one_row = temp_path("range_one_row.csv");
+    std::fs::write(&one_row, "0.1,0.2,0.3,1\n").unwrap();
+    let _one_row_guard = TempFiles(vec![one_row.clone()]);
+    let (t, q) = (train.to_str().unwrap(), test.to_str().unwrap());
+    let eps_refusal = "eps must be positive";
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for method in ["truncated", "lsh"] {
+        for eps in ["0", "-1", "nan"] {
+            cases.push((vec!["--method", method, "--eps", eps], eps_refusal));
+        }
+    }
+    cases.extend([
+        (
+            vec!["--method", "mc-improved", "--eps", "0"],
+            "the heuristic stop needs a positive, finite eps",
+        ),
+        (
+            vec!["--method", "lsh", "--delta", "0"],
+            "delta must lie in (0, 1)",
+        ),
+        (
+            vec!["--weight", "inverse", "--weight-param", "nan"],
+            "the weight parameter must be finite",
+        ),
+    ]);
+    let data = ["--train", t, "--test", q];
+    for (extra, message) in &cases {
+        for cmd in ["value", "audit"] {
+            let args = [&[cmd][..], &data, extra].concat();
+            let (code, stderr) = knnshap_bin(&args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(message), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    let lsh_one_row = [
+        "value",
+        "--train",
+        one_row.to_str().unwrap(),
+        "--test",
+        q,
+        "--method",
+        "lsh",
+    ];
+    let (code, stderr) = knnshap_bin(&lsh_one_row);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("needs at least two training points"),
+        "{stderr}"
+    );
+
+    // The sharded commands share the check: `shard`, `merge` and
+    // `shard-plan` refuse before writing anything (`merge` over a valid set
+    // of exact shards).
+    let job = temp_path("range_job");
+    let out = temp_path("range.shard");
+    let whole = temp_path("range_whole.shard");
+    let _shard_guard = TempFiles(vec![whole.clone()]);
+    let (job_s, out_s, whole_s) = (
+        job.to_str().unwrap(),
+        out.to_str().unwrap(),
+        whole.to_str().unwrap(),
+    );
+    let one_of_one = ["--shard-index", "0", "--shard-count", "1", "--out", whole_s];
+    knnshap_cli::run([&["shard"][..], &data, &one_of_one].concat()).expect("exact shard");
+    let shard = ["--shard-index", "0", "--shard-count", "2", "--out", out_s];
+    let sharded: [(&str, &[&str]); 3] = [
+        ("shard", &shard),
+        ("merge", &["--inputs", whole_s]),
+        ("shard-plan", &["--shards", "2", "--job", job_s]),
+    ];
+    for (cmd, extra) in sharded {
+        for bad in [
+            &["--method", "truncated", "--eps", "0"][..],
+            &["--weight", "exponential", "--weight-param", "nan"],
+        ] {
+            let args = [&[cmd][..], &data, extra, bad].concat();
+            let (code, stderr) = knnshap_bin(&args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(eps_refusal) || stderr.contains("must be finite"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    assert!(!out.exists(), "no shard file for a refused job");
+    assert!(!job.exists(), "no job directory for a refused plan");
+}
+
+#[test]
+fn unsharded_group_testing_matches_sharded_bytes() {
+    // The unsharded path accepts every method the sharded one does, and
+    // `value --method group-testing` writes the --shards 3 bytes.
+    let (train, test, _guard) = synth_pair("gt_bytes", "30");
+    let (direct, sharded) = (temp_path("gt_direct.csv"), temp_path("gt_sharded.csv"));
+    let _out_guard = TempFiles(vec![direct.clone(), sharded.clone()]);
+    let (t, q) = (train.to_str().unwrap(), test.to_str().unwrap());
+    let job = [
+        "value",
+        "--train",
+        t,
+        "--test",
+        q,
+        "--k",
+        "3",
+        "--method",
+        "group-testing",
+        "--perms",
+        "200",
+        "--seed",
+        "7",
+    ];
+    let (code, stderr) = knnshap_bin(&[&job[..], &["--out", direct.to_str().unwrap()]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    let with_shards = ["--shards", "3", "--out", sharded.to_str().unwrap()];
+    let (code, stderr) = knnshap_bin(&[&job[..], &with_shards].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        std::fs::read(&direct).unwrap(),
+        std::fs::read(&sharded).unwrap()
+    );
+}
+
+#[test]
+fn weighted_truncation_has_one_refusal_text() {
+    let (train, test, _guard) = synth_pair("wtrunc", "20");
+    let (t, q) = (train.to_str().unwrap(), test.to_str().unwrap());
+    let job = [
+        "value",
+        "--train",
+        t,
+        "--test",
+        q,
+        "--method",
+        "truncated",
+        "--weight",
+        "inverse",
+    ];
+    let (code, unsharded) = knnshap_bin(&job);
+    assert_eq!(code, Some(1), "{unsharded}");
+    let (code, sharded) = knnshap_bin(&[&job[..], &["--shards", "2"]].concat());
+    assert_eq!(code, Some(1), "{sharded}");
+    assert_eq!(
+        unsharded.lines().next(),
+        Some("error: truncated supports uniform weights only")
+    );
+    assert_eq!(unsharded, sharded);
 }

@@ -39,14 +39,15 @@ pub fn knn_class_phi_bound(k: usize) -> f64 {
 /// The paper terminates the Monte Carlo estimators "when the change of the
 /// SV estimates in two consecutive iterations is below ε/50"; this is the one
 /// place that constant lives, so the [`crate::mc::StoppingRule::Heuristic`]
-/// docs and every caller constructing one stay in agreement.
+/// docs and every caller constructing one stay in agreement. ε must be
+/// positive; a rule built from any other ε has no positive threshold, and
+/// [`crate::estimator::Estimator::check`] refuses it.
 ///
 /// ```
 /// use knnshap_core::bounds::heuristic_threshold;
 /// assert_eq!(heuristic_threshold(0.1), 0.002);
 /// ```
 pub fn heuristic_threshold(eps: f64) -> f64 {
-    assert!(eps > 0.0, "epsilon must be positive");
     eps / 50.0
 }
 

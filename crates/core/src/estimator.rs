@@ -1,29 +1,40 @@
-//! One descriptor for every shardable valuation job.
+//! The one front door of every valuation family.
 //!
-//! Theorem 1 (and Theorems 2/6/7) write the multi-test Shapley vector as the
-//! mean of independent per-test-point games; the Monte Carlo and
-//! group-testing families average independent permutation/coalition streams.
-//! Every shardable family therefore has the same shape — exact partial sums
-//! over an item range, stamped with a job identity, finalized once by
-//! [`merge_partials`](crate::sharding::merge_partials) — and this module is
-//! the one place that shape is dispatched:
+//! The paper's §6.2 "Remarks" are a decision guide — exact by default,
+//! truncated or LSH when a moderate ε is acceptable and K is small, Monte
+//! Carlo where the exact algorithm is O(N^K) — and Theorem 1 (and Theorems
+//! 2/6/7) write the multi-test Shapley vector as the mean of independent
+//! per-test-point games, while the Monte Carlo and group-testing families
+//! average independent permutation/coalition streams. So every family has
+//! the same shape — exact partial sums over an item range, finalized once —
+//! and this module is the one place that shape is dispatched:
 //!
 //! * an [`Estimator`] names the task, the family and every parameter that
-//!   moves a bit (K, weights, ε, stream budget, seed);
-//! * [`Estimator::prepare`] binds it to borrowed datasets and a ranking
-//!   [`Source`] — a fresh distance pass or a precomputed
-//!   [`KnnGraph`] — validating the inputs and deriving the job [`Identity`]
-//!   (shard kind, dataset-content fingerprint, sizes) exactly once;
-//! * [`Prepared::partial`] computes one canonical range. The Monte Carlo and
-//!   group-testing utilities are built on first use and shared by every
-//!   later partial of the same [`Prepared`].
+//!   moves a bit (K, weights, ε, stopping rule or stream budget, seed);
+//!   [`Estimator::check`] refuses impossible parameters before any data is
+//!   read;
+//! * [`Estimator::run`] is the unsharded valuation: it validates the
+//!   borrowed datasets and the ranking [`Source`] — a fresh distance pass or
+//!   a precomputed [`KnnGraph`] — runs the family's fold over the whole item
+//!   range on the chosen [`Schedule`], and finalizes it directly (no job
+//!   identity is hashed);
+//! * [`Estimator::prepare`] binds a shardable estimator to its data,
+//!   deriving the job [`Identity`] (shard kind, dataset-content fingerprint,
+//!   sizes) exactly once, and [`Prepared::partial`] computes one canonical
+//!   range, finalized by [`merge_partials`](crate::sharding::merge_partials).
+//!   The Monte Carlo and group-testing utilities are built on first use and
+//!   shared by every later partial of the same [`Prepared`].
 //!
-//! Graph-backed and brute-force partials of one job carry the same kind,
-//! fingerprint and bytes (the graph stores exactly the rankings the distance
-//! pass produces), so they inter-merge freely.
+//! Graph-backed and brute-force runs and partials of one job carry the same
+//! kind, fingerprint and bytes (the graph stores exactly the rankings the
+//! distance pass produces), so they inter-merge freely. LSH retrieval
+//! ([`crate::lsh_approx::lsh_class_shapley_planned`]) plans its index from
+//! whole-test-set statistics and stays outside [`Family`].
 //!
 //! ```
 //! use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+//! use knnshap_core::mc::StoppingRule;
+//! use knnshap_core::schedule::Schedule;
 //! use knnshap_core::sharding::{merge_partials, ShardSpec};
 //! use knnshap_datasets::synth::blobs::{self, BlobConfig};
 //! use knnshap_knn::weights::WeightFn;
@@ -34,25 +45,27 @@
 //!     task: Task::Class,
 //!     k: 2,
 //!     weight: WeightFn::Uniform,
-//!     family: Family::McImproved { perms: 40 },
+//!     family: Family::McImproved { rule: StoppingRule::Fixed(40) },
 //!     seed: 7,
 //! };
-//! let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
+//! let data = Data::Class { train: &train, test: &test };
+//! let job = est.prepare(data, Source::Brute).unwrap();
 //! assert_eq!(job.identity().total_items, 40);
 //! let parts: Vec<_> = (0..3).map(|i| job.partial(ShardSpec::new(i, 3), 1)).collect();
 //! let merged = merge_partials(&parts).unwrap();
-//! let whole = merge_partials(&[job.partial(ShardSpec::full(), 4)]).unwrap();
+//! let whole = est.run(data, Source::Brute, 4, Schedule::Measured).unwrap();
 //! assert_eq!(merged.values, whole.values);
+//! assert_eq!(whole.permutations, Some(40));
 //! ```
 
-use crate::mc::IncKnnUtility;
-use crate::pipeline::PipelineError;
+use crate::mc::{IncKnnUtility, McResult, StoppingRule};
+use crate::schedule::{Schedule, Workers};
 use crate::sharding::{
     finalize_mean, hash_class_dataset, hash_reg_dataset, weight_code, Fingerprint, ShardKind,
     ShardMeta, ShardPartial, ShardSpec,
 };
 use crate::types::ShapleyValues;
-use crate::utility::{DistMatrix, KnnClassUtility, Utility};
+use crate::utility::{DistMatrix, KnnClassUtility, KnnRegUtility, Utility};
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
 use knnshap_knn::distance::Metric;
 use knnshap_knn::graph::KnnGraph;
@@ -83,10 +96,12 @@ impl Task {
 
 /// The estimator family, with its family-specific parameter.
 ///
-/// The stochastic families carry an **a-priori** stream budget: the
-/// sequential §6.2.2 heuristic stop cannot be sharded. LSH is absent on
-/// purpose — its index is planned from whole-test-set statistics and does
-/// not shard by test range (see `docs/sharding.md`).
+/// The Monte Carlo families carry their [`StoppingRule`]; sharding needs an
+/// **a-priori** [`Fixed`](StoppingRule::Fixed) budget (the sequential
+/// §6.2.2 heuristic stop cannot be sharded — [`Estimator::prepare`] refuses
+/// it). LSH is absent on purpose — its index is planned from
+/// whole-test-set statistics and does not shard by test range (see
+/// `docs/sharding.md` and [`crate::lsh_approx::lsh_class_shapley_planned`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Family {
     /// Exact per-test decomposition (Theorems 1/6/7; weighted via
@@ -94,10 +109,10 @@ pub enum Family {
     Exact,
     /// Truncated (ε, 0)-approximation (Theorem 2).
     Truncated { eps: f64 },
-    /// Baseline Monte Carlo (§2.2) over `perms` permutation streams.
-    McBaseline { perms: usize },
-    /// Improved Monte Carlo (Algorithm 2) over `perms` permutation streams.
-    McImproved { perms: usize },
+    /// Baseline Monte Carlo (§2.2) under `rule`.
+    McBaseline { rule: StoppingRule },
+    /// Improved Monte Carlo (Algorithm 2) under `rule`.
+    McImproved { rule: StoppingRule },
     /// Group-testing baseline over `tests` coalition-test streams.
     GroupTesting { tests: usize },
 }
@@ -115,31 +130,46 @@ impl Family {
     }
 
     /// The family called `name`, taking `eps` or the stream budget `perms`
-    /// as its parameter; `None` for names no family answers to. The inverse
-    /// of [`name`](Self::name) + [`params`](Self::params).
+    /// as its parameter; `None` for names no family answers to. A Monte
+    /// Carlo family without a budget (`perms == 0`) stops by the paper's
+    /// §6.2.2 heuristic at threshold ε/50, capped at 50 000 (baseline) or
+    /// 200 000 (improved) permutations. The inverse of
+    /// [`name`](Self::name) + [`params`](Self::params) for every shardable
+    /// family.
     pub fn from_parts(name: &str, eps: f64, perms: usize) -> Option<Family> {
+        let rule = |max| match perms {
+            0 => StoppingRule::Heuristic {
+                threshold: crate::bounds::heuristic_threshold(eps),
+                max,
+            },
+            t => StoppingRule::Fixed(t),
+        };
         Some(match name {
             "exact" => Family::Exact,
             "truncated" => Family::Truncated { eps },
-            "mc-baseline" => Family::McBaseline { perms },
-            "mc-improved" => Family::McImproved { perms },
+            "mc-baseline" => Family::McBaseline { rule: rule(50_000) },
+            "mc-improved" => Family::McImproved {
+                rule: rule(200_000),
+            },
             "group-testing" => Family::GroupTesting { tests: perms },
             _ => return None,
         })
     }
 
-    /// `(eps, stream budget)`, each 0 where the family has none.
+    /// `(eps, fixed stream budget)`, each 0 where the family has none.
     pub fn params(self) -> (f64, usize) {
         match self {
             Family::Exact => (0.0, 0),
             Family::Truncated { eps } => (eps, 0),
-            Family::McBaseline { perms } | Family::McImproved { perms } => (0.0, perms),
+            Family::McBaseline { rule } | Family::McImproved { rule } => {
+                (0.0, rule.fixed().unwrap_or(0))
+            }
             Family::GroupTesting { tests } => (0.0, tests),
         }
     }
 }
 
-/// A shardable valuation: task, family and every output-affecting parameter.
+/// A valuation: task, family and every output-affecting parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimator {
     pub task: Task,
@@ -172,10 +202,19 @@ impl<'a> Data<'a> {
         }
     }
 
-    fn features(self) -> (&'a Features, &'a Features) {
+    pub(crate) fn features(self) -> (&'a Features, &'a Features) {
         match self {
             Data::Class { train, test } => (&train.x, &test.x),
             Data::Reg { train, test } => (&train.x, &test.x),
+        }
+    }
+
+    /// The classification pair of a family [`Estimator::check`] has
+    /// confined to classification.
+    fn class(self) -> (&'a ClassDataset, &'a ClassDataset) {
+        match self {
+            Data::Class { train, test } => (train, test),
+            Data::Reg { .. } => unreachable!("checked: a classification-only family"),
         }
     }
 }
@@ -240,6 +279,42 @@ impl<'a> Source<'a> {
     }
 }
 
+/// Why the datasets (or the graph) cannot be valued.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InputError {
+    /// Train/test feature dimensionality differs.
+    DimensionMismatch,
+    /// The test set is empty.
+    EmptyTestSet,
+    /// The training set is empty.
+    EmptyTrainSet,
+    /// A feature value is NaN or infinite; distance comparisons would panic
+    /// deep inside the valuation sorts. `(which, row)` identifies the first
+    /// offending row in `"train"` or `"test"`.
+    NonFiniteFeature { which: &'static str, row: usize },
+    /// The attached KNN graph was built from different datasets (shape or
+    /// content fingerprint drift).
+    GraphMismatch(String),
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InputError::DimensionMismatch => write!(f, "train/test dimension mismatch"),
+            InputError::EmptyTestSet => write!(f, "test set is empty"),
+            InputError::EmptyTrainSet => write!(f, "training set is empty"),
+            InputError::NonFiniteFeature { which, row } => {
+                write!(f, "{which} row {row} contains a NaN/infinite feature")
+            }
+            InputError::GraphMismatch(detail) => {
+                write!(f, "graph does not match the datasets: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InputError {}
+
 /// The input checks every valuation shares: non-empty sets, matching
 /// dimensions, finite features (NaN would panic deep inside the distance
 /// sorts), and — for a graph source — a graph built from exactly these
@@ -248,24 +323,26 @@ pub(crate) fn check_inputs(
     train: &Features,
     test: &Features,
     source: Source<'_>,
-) -> Result<(), PipelineError> {
+) -> Result<(), EstimatorError> {
+    let bad = |e| Err(EstimatorError::Input(e));
     if train.is_empty() {
-        return Err(PipelineError::EmptyTrainSet);
+        return bad(InputError::EmptyTrainSet);
     }
     if test.is_empty() {
-        return Err(PipelineError::EmptyTestSet);
+        return bad(InputError::EmptyTestSet);
     }
     if train.dim() != test.dim() {
-        return Err(PipelineError::DimensionMismatch);
+        return bad(InputError::DimensionMismatch);
     }
     for (which, x) in [("train", train), ("test", test)] {
         if let Some(row) = x.first_non_finite_row() {
-            return Err(PipelineError::NonFiniteFeature { which, row });
+            return bad(InputError::NonFiniteFeature { which, row });
         }
     }
     if let Source::Graph(g) = source {
-        g.validate_against(train, test)
-            .map_err(|e| PipelineError::GraphMismatch(e.to_string()))?;
+        if let Err(e) = g.validate_against(train, test) {
+            return bad(InputError::GraphMismatch(e.to_string()));
+        }
     }
     Ok(())
 }
@@ -274,10 +351,11 @@ pub(crate) fn check_inputs(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EstimatorError {
     /// The parameters name a job no family can run (refused before any data
-    /// is read by [`Estimator::check`]).
+    /// is read by [`Estimator::check`]), or one that cannot shard (refused
+    /// by [`Estimator::check_shardable`]).
     Unsupported(String),
     /// The datasets or the graph fail the shared input checks.
-    Input(PipelineError),
+    Input(InputError),
 }
 
 impl std::fmt::Display for EstimatorError {
@@ -291,6 +369,52 @@ impl std::fmt::Display for EstimatorError {
 
 impl std::error::Error for EstimatorError {}
 
+fn unsupported<T>(message: String) -> Result<T, EstimatorError> {
+    Err(EstimatorError::Unsupported(message))
+}
+
+/// Refuse an accuracy target ε that is not positive (NaN included): every
+/// ε-driven bound (K* = ⌈1/ε⌉, the ε/50 stop) needs ε > 0.
+pub(crate) fn check_eps(eps: f64) -> Result<(), EstimatorError> {
+    if eps > 0.0 {
+        return Ok(());
+    }
+    unsupported(format!("eps must be positive (got {eps})"))
+}
+
+/// Refuse a failure probability δ outside (0, 1) (NaN included).
+pub(crate) fn check_delta(delta: f64) -> Result<(), EstimatorError> {
+    if delta > 0.0 && delta < 1.0 {
+        return Ok(());
+    }
+    unsupported(format!("delta must lie in (0, 1) (got {delta})"))
+}
+
+/// Refuse a stopping rule whose budget or threshold cannot be computed.
+fn check_rule(rule: StoppingRule) -> Result<(), EstimatorError> {
+    match rule {
+        StoppingRule::Fixed(_) => Ok(()),
+        StoppingRule::Heuristic { threshold, .. } if threshold > 0.0 && threshold.is_finite() => {
+            Ok(())
+        }
+        StoppingRule::Heuristic { threshold, .. } => unsupported(format!(
+            "the heuristic stop needs a positive, finite eps (its threshold eps/50 is \
+             {threshold}); pass a positive --eps, or a fixed budget with --perms N"
+        )),
+        StoppingRule::Hoeffding { eps, delta, range }
+        | StoppingRule::Bennett {
+            eps, delta, range, ..
+        } => {
+            check_eps(eps)?;
+            check_delta(delta)?;
+            if range > 0.0 {
+                return Ok(());
+            }
+            unsupported(format!("the utility range must be positive (got {range})"))
+        }
+    }
+}
+
 /// What every shard of one job agrees on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Identity {
@@ -302,68 +426,223 @@ pub struct Identity {
     pub total_items: u64,
 }
 
+/// An unsharded valuation plus run metadata, returned by
+/// [`Estimator::run`].
+///
+/// ```
+/// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+/// use knnshap_core::schedule::Schedule;
+/// use knnshap_datasets::synth::regression::{self, RegressionConfig};
+/// use knnshap_knn::weights::WeightFn;
+///
+/// let cfg = RegressionConfig { n: 200, ..Default::default() };
+/// let (train, test) = (regression::generate(&cfg), regression::queries(&cfg, 10));
+/// let est = Estimator { task: Task::Reg, k: 3, weight: WeightFn::Uniform, family: Family::Exact, seed: 0 };
+/// let data = Data::Reg { train: &train, test: &test };
+/// let run = est.run(data, Source::Brute, 2, Schedule::Static).unwrap();
+/// assert_eq!(run.values.len(), 200);
+/// assert_eq!(run.permutations, None); // deterministic family
+/// ```
+#[derive(Debug, Clone)]
+pub struct Valuation {
+    pub values: ShapleyValues,
+    /// Permutations consumed, for the Monte Carlo families (`None` for the
+    /// others).
+    pub permutations: Option<usize>,
+}
+
+impl From<ShapleyValues> for Valuation {
+    fn from(values: ShapleyValues) -> Self {
+        Valuation {
+            values,
+            permutations: None,
+        }
+    }
+}
+
+impl From<McResult> for Valuation {
+    fn from(res: McResult) -> Self {
+        Valuation {
+            values: res.values,
+            permutations: Some(res.permutations),
+        }
+    }
+}
+
 impl Estimator {
     fn uniform(&self) -> bool {
         matches!(self.weight, WeightFn::Uniform)
     }
 
-    /// The refusals that need no data: K = 0, regression beyond the
-    /// unweighted exact family, weighted truncation, and a stochastic family
-    /// without a fixed stream budget.
+    /// The refusals that need no data: K = 0, a non-finite weight
+    /// parameter, a non-positive ε, a stopping rule without a computable
+    /// budget, group testing without a test budget, weighted truncation,
+    /// and regression with a classification-only family (truncated, group
+    /// testing).
     pub fn check(&self) -> Result<(), EstimatorError> {
-        let bad = |m: String| Err(EstimatorError::Unsupported(m));
         if self.k == 0 {
-            return bad("k must be at least 1".into());
+            return unsupported("k must be at least 1".into());
+        }
+        let (_, weight_param) = weight_code(self.weight);
+        if !weight_param.is_finite() {
+            return unsupported(format!(
+                "the weight parameter must be finite (got {weight_param})"
+            ));
         }
         match (self.task, self.family) {
-            (Task::Reg, Family::Exact) if !self.uniform() => {
-                bad("regression jobs support uniform weights only".into())
+            (Task::Reg, f @ (Family::Truncated { .. } | Family::GroupTesting { .. })) => {
+                unsupported(format!(
+                    "regression supports methods exact, mc-baseline and mc-improved (got {})",
+                    f.name()
+                ))
             }
-            (Task::Reg, Family::Exact) => Ok(()),
-            (Task::Reg, f) => bad(format!(
-                "regression jobs support method exact (got {})",
-                f.name()
-            )),
-            (_, Family::Truncated { .. }) if !self.uniform() => {
-                bad("truncated supports uniform weights only".into())
+            (_, Family::Truncated { eps }) => {
+                check_eps(eps)?;
+                if self.uniform() {
+                    return Ok(());
+                }
+                unsupported("truncated supports uniform weights only".into())
             }
-            (
-                _,
-                Family::McBaseline { perms: 0 }
-                | Family::McImproved { perms: 0 }
-                | Family::GroupTesting { tests: 0 },
-            ) => bad(
-                "sharded Monte Carlo / group testing needs a fixed stream budget: \
-                 pass --perms N (the §6.2.2 heuristic stop is sequential and \
-                 cannot be sharded)"
-                    .into(),
-            ),
+            (_, Family::McBaseline { rule } | Family::McImproved { rule }) => check_rule(rule),
+            (_, Family::GroupTesting { tests: 0 }) => {
+                unsupported("group testing needs a fixed test budget: pass --perms N".into())
+            }
             _ => Ok(()),
         }
     }
 
-    /// Bind the estimator to `data` and `source`: run [`check`](Self::check)
-    /// and the shared input checks, and derive the job identity.
+    /// [`check`](Self::check) plus what sharding cannot do: regression
+    /// beyond the unweighted exact family, and a Monte Carlo family without
+    /// a fixed, non-zero permutation budget.
+    pub fn check_shardable(&self) -> Result<(), EstimatorError> {
+        self.check()?;
+        match (self.task, self.family) {
+            (Task::Reg, Family::Exact) if !self.uniform() => {
+                unsupported("regression jobs support uniform weights only".into())
+            }
+            (Task::Reg, Family::Exact) => Ok(()),
+            (Task::Reg, f) => unsupported(format!(
+                "regression jobs support method exact (got {})",
+                f.name()
+            )),
+            (_, Family::McBaseline { rule } | Family::McImproved { rule })
+                if rule.fixed().unwrap_or(0) == 0 =>
+            {
+                unsupported(
+                    "sharded Monte Carlo / group testing needs a fixed stream budget: \
+                     pass --perms N (the §6.2.2 heuristic stop is sequential and \
+                     cannot be sharded)"
+                        .into(),
+                )
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The data checks shared by [`run`](Self::run) and
+    /// [`prepare`](Self::prepare).
+    fn check_data(&self, data: Data<'_>, source: Source<'_>) -> Result<(), EstimatorError> {
+        if data.task() != self.task {
+            return unsupported(format!(
+                "a {} estimator cannot value {} data",
+                self.task.name(),
+                data.task().name()
+            ));
+        }
+        let (train, test) = data.features();
+        check_inputs(train, test, source)?;
+        if matches!(self.family, Family::GroupTesting { .. }) && train.len() < 2 {
+            return unsupported("group testing needs at least two training points".into());
+        }
+        Ok(())
+    }
+
+    /// The unsharded valuation of `data`, with rankings from `source`:
+    /// [`check`](Self::check) and the shared input checks, then the
+    /// family's fold over every item on `threads` workers tiled per
+    /// `schedule` (the closed-form exact families have no budget to plan
+    /// and ignore it), finalized directly.
+    ///
+    /// ### Determinism contract
+    ///
+    /// The values are a pure function of the estimator and the datasets —
+    /// never of `threads`, `schedule` or `source` — and equal, bit for bit,
+    /// the merge of any full shard set of the same job.
+    ///
+    /// ```
+    /// use knnshap_core::estimator::{Data, Estimator, Family, Source, Task};
+    /// use knnshap_core::schedule::Schedule;
+    /// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+    /// use knnshap_knn::weights::WeightFn;
+    ///
+    /// let cfg = BlobConfig { n: 300, dim: 8, n_classes: 3, ..Default::default() };
+    /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 10, 7));
+    /// let exact = Estimator { task: Task::Class, k: 3, weight: WeightFn::Uniform, family: Family::Exact, seed: 0 };
+    /// let data = Data::Class { train: &train, test: &test };
+    /// let sv = exact.run(data, Source::Brute, 2, Schedule::Static).unwrap().values;
+    /// assert_eq!(sv.len(), 300);
+    /// // Theorem 2: the truncated estimate is within ε of the exact one.
+    /// let truncated = Estimator { family: Family::Truncated { eps: 0.1 }, ..exact };
+    /// let approx = truncated.run(data, Source::Brute, 2, Schedule::Measured).unwrap().values;
+    /// assert!(sv.max_abs_diff(&approx) <= 0.1 + 1e-12);
+    /// ```
+    pub fn run(
+        &self,
+        data: Data<'_>,
+        source: Source<'_>,
+        threads: usize,
+        schedule: Schedule,
+    ) -> Result<Valuation, EstimatorError> {
+        self.check()?;
+        self.check_data(data, source)?;
+        let workers = Workers { threads, schedule };
+        let (k, weight, seed) = (self.k, self.weight, self.seed);
+        Ok(match (data, self.family) {
+            (_, Family::Exact | Family::Truncated { .. }) => {
+                let n_test = data.features().1.len();
+                let sums = self.per_test_sums(data, source, 0..n_test, workers);
+                finalize_mean(&sums, n_test as u64).into()
+            }
+            (Data::Class { train, test }, Family::McBaseline { rule }) => {
+                let u = KnnClassUtility::with_source(train, test, k, weight, source);
+                crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, workers).into()
+            }
+            (Data::Reg { train, test }, Family::McBaseline { rule }) => {
+                let u = KnnRegUtility::with_source(train, test, k, weight, source);
+                crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, workers).into()
+            }
+            (_, Family::McImproved { rule }) => {
+                let inc = IncKnnUtility::with_source(data, k, weight, source);
+                crate::mc::mc_shapley_improved_with_threads(&inc, rule, seed, None, workers).into()
+            }
+            (_, Family::GroupTesting { tests }) => {
+                let (train, test) = data.class();
+                let u = KnnClassUtility::with_source(train, test, k, weight, source);
+                let streams = RngStreams::new(seed);
+                let (point, shared) = crate::group_testing::group_testing_shapley_shard(
+                    &u,
+                    streams,
+                    0..tests,
+                    threads,
+                    schedule,
+                );
+                let (point, shared) = (point.values(), shared.value());
+                crate::group_testing::recover_values(u.grand(), tests, point, shared).into()
+            }
+        })
+    }
+
+    /// Bind a shardable estimator to `data` and `source`: run
+    /// [`check_shardable`](Self::check_shardable) and the shared input
+    /// checks, and derive the job identity.
     pub fn prepare<'a>(
         &self,
         data: Data<'a>,
         source: Source<'a>,
     ) -> Result<Prepared<'a>, EstimatorError> {
-        self.check()?;
-        if data.task() != self.task {
-            return Err(EstimatorError::Unsupported(format!(
-                "a {} estimator cannot value {} data",
-                self.task.name(),
-                data.task().name()
-            )));
-        }
+        self.check_shardable()?;
+        self.check_data(data, source)?;
         let (train, test) = data.features();
-        check_inputs(train, test, source).map_err(EstimatorError::Input)?;
-        if matches!(self.family, Family::GroupTesting { .. }) && train.len() < 2 {
-            return Err(EstimatorError::Unsupported(
-                "group testing needs at least two training points".into(),
-            ));
-        }
         let total_items = match self.family.params().1 {
             0 => test.len(),
             budget => budget,
@@ -436,39 +715,29 @@ impl Estimator {
         }
     }
 
-    /// The unsharded values of a per-test family (exact or truncated) — the
-    /// fold [`Prepared::partial`] runs, over every test point, finalized
-    /// directly: no input checks and no identity hash, for the pipeline,
-    /// which has validated already.
-    pub(crate) fn per_test_values(
-        &self,
-        data: Data<'_>,
-        source: Source<'_>,
-        threads: usize,
-    ) -> ShapleyValues {
-        let n_test = data.features().1.len();
-        finalize_mean(
-            &self.per_test_sums(data, source, 0..n_test, threads),
-            n_test as u64,
-        )
-    }
-
-    /// Exact partial sums of a per-test family over test points `range`.
+    /// Exact partial sums of a per-test family (exact or truncated) over
+    /// test points `range`. Only truncated has a budget to schedule; the
+    /// exact folds are closed-form and always static.
     fn per_test_sums(
         &self,
         data: Data<'_>,
         source: Source<'_>,
         range: std::ops::Range<usize>,
-        threads: usize,
+        workers: Workers,
     ) -> ExactVec {
-        let k = self.k;
+        let (k, weight, threads) = (self.k, self.weight, workers.threads);
         match (data, self.family) {
-            (Data::Reg { train, test }, _) => crate::exact_regression::knn_reg_shapley_shard(
-                train, test, k, source, range, threads,
+            (Data::Reg { train, test }, _) if self.uniform() => {
+                crate::exact_regression::knn_reg_shapley_shard(
+                    train, test, k, source, range, threads,
+                )
+            }
+            (Data::Reg { train, test }, _) => crate::exact_weighted::weighted_knn_reg_shapley_sums(
+                train, test, k, weight, source, range, threads,
             ),
             (Data::Class { train, test }, Family::Truncated { eps }) => {
                 crate::truncated::truncated_class_shapley_shard(
-                    train, test, k, eps, source, range, threads,
+                    train, test, k, eps, source, range, workers,
                 )
             }
             (Data::Class { train, test }, _) if self.uniform() => {
@@ -478,21 +747,15 @@ impl Estimator {
             }
             (Data::Class { train, test }, _) => {
                 crate::exact_weighted::weighted_knn_class_shapley_shard(
-                    train,
-                    test,
-                    k,
-                    self.weight,
-                    source,
-                    range,
-                    threads,
+                    train, test, k, weight, source, range, threads,
                 )
             }
         }
     }
 }
 
-/// An [`Estimator`] bound to its datasets and ranking source, ready to
-/// compute partials of the job [`identity`](Self::identity) names.
+/// A shardable [`Estimator`] bound to its datasets and ranking source,
+/// ready to compute partials of the job [`identity`](Self::identity) names.
 pub struct Prepared<'a> {
     estimator: Estimator,
     data: Data<'a>,
@@ -507,19 +770,10 @@ impl Prepared<'_> {
         self.identity
     }
 
-    fn class_data(&self) -> (&ClassDataset, &ClassDataset) {
-        match self.data {
-            Data::Class { train, test } => (train, test),
-            Data::Reg { .. } => {
-                unreachable!("checked: stochastic families are classification-only")
-            }
-        }
-    }
-
     /// The baseline/group-testing utility, built once.
     fn class_util(&self) -> &KnnClassUtility {
         self.class_util.get_or_init(|| {
-            let (train, test) = self.class_data();
+            let (train, test) = self.data.class();
             let e = &self.estimator;
             KnnClassUtility::with_source(train, test, e.k, e.weight, self.source)
         })
@@ -528,14 +782,13 @@ impl Prepared<'_> {
     /// Algorithm 2's incremental utility, built once.
     fn inc_util(&self) -> &IncKnnUtility {
         self.inc_util.get_or_init(|| {
-            let (train, test) = self.class_data();
             let e = &self.estimator;
-            IncKnnUtility::class_with_source(train, test, e.k, e.weight, self.source)
+            IncKnnUtility::with_source(self.data, e.k, e.weight, self.source)
         })
     }
 
     /// The partial of one canonical range of the job's items, folded with
-    /// `threads` workers.
+    /// `threads` workers on the static schedule.
     ///
     /// ### Determinism contract
     ///
@@ -543,7 +796,7 @@ impl Prepared<'_> {
     /// never of `threads`, of the [`Source`], or of how the rest of the job
     /// is split. Merging any full set with
     /// [`merge_partials`](crate::sharding::merge_partials) reproduces the
-    /// unsharded estimator bit for bit.
+    /// unsharded [`Estimator::run`] bit for bit.
     pub fn partial(&self, spec: ShardSpec, threads: usize) -> ShardPartial {
         let id = self.identity;
         let range = spec.range(id.total_items as usize);
@@ -551,10 +804,12 @@ impl Prepared<'_> {
         let mut extras = Vec::new();
         let mut aux = ExactVec::zeros(0);
         let sums = match self.estimator.family {
-            Family::Exact | Family::Truncated { .. } => {
-                self.estimator
-                    .per_test_sums(self.data, self.source, range.clone(), threads)
-            }
+            Family::Exact | Family::Truncated { .. } => self.estimator.per_test_sums(
+                self.data,
+                self.source,
+                range.clone(),
+                Workers::from(threads),
+            ),
             Family::McBaseline { .. } => crate::mc::mc_shapley_baseline_shard(
                 self.class_util(),
                 seed,
@@ -571,7 +826,7 @@ impl Prepared<'_> {
                     RngStreams::new(seed),
                     range.clone(),
                     threads,
-                    None,
+                    Schedule::Static,
                 );
                 aux = ExactVec::zeros(1);
                 aux.merge_scalar(0, &shared);

@@ -172,7 +172,8 @@ pub(crate) fn knn_reg_shapley_shard(
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
+    let schedule = crate::schedule::Schedule::Static;
+    crate::sharding::exact_sums_over(train.len(), range, threads, schedule, |j, acc| {
         let ranked = source.ranking(&train.x, &test.x, j);
         accumulate_ranked(train, &ranked, test.y[j], k, |i, s| acc.add(i, s));
     })

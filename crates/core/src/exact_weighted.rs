@@ -31,6 +31,7 @@
 
 use crate::composite::GameForm;
 use crate::estimator::Source;
+use crate::schedule::Schedule;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::distance::Metric;
@@ -376,10 +377,10 @@ pub fn weighted_knn_class_shapley(
 }
 
 /// The Theorem 7 fold behind [`crate::estimator`]'s weighted
-/// exact-classification partials: exact sums over test points `range`, with
-/// rankings from `source`. Theorem 7 rides the same per-test additivity
-/// decomposition as Theorem 1, so the shard/merge determinism contract of
-/// [`crate::sharding`] applies unchanged.
+/// exact-classification runs and partials: exact sums over test points
+/// `range`, with rankings from `source`. Theorem 7 rides the same per-test
+/// additivity decomposition as Theorem 1, so the shard/merge determinism
+/// contract of [`crate::sharding`] applies unchanged.
 pub(crate) fn weighted_knn_class_shapley_shard(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -389,7 +390,8 @@ pub(crate) fn weighted_knn_class_shapley_shard(
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
+    let schedule = Schedule::Static;
+    crate::sharding::exact_sums_over(train.len(), range, threads, schedule, |j, acc| {
         let ranked = source.ranking(&train.x, &test.x, j);
         let (per_test, _) = weighted_class_shapley_ranked_form(
             train,
@@ -425,22 +427,25 @@ pub fn weighted_knn_reg_shapley(
         g.validate_against(&train.x, &test.x)
             .expect("graph/dataset mismatch");
     }
-    weighted_reg_shapley_checked(train, test, k, weight, source, threads)
+    let n_test = test.len();
+    let sums = weighted_knn_reg_shapley_sums(train, test, k, weight, source, 0..n_test, threads);
+    crate::sharding::finalize_mean(&sums, n_test as u64)
 }
 
-/// [`weighted_knn_reg_shapley`] for callers that have already validated the
-/// inputs (the pipeline runs the shared checks first), so a graph's
-/// feature hash is not recomputed.
-pub(crate) fn weighted_reg_shapley_checked(
+/// The Theorem 7 regression fold behind [`weighted_knn_reg_shapley`] and
+/// [`crate::estimator`]'s weighted regression runs: exact sums over test
+/// points `range`, with rankings from `source`.
+pub(crate) fn weighted_knn_reg_shapley_sums(
     train: &RegDataset,
     test: &RegDataset,
     k: usize,
     weight: WeightFn,
     source: Source<'_>,
+    range: std::ops::Range<usize>,
     threads: usize,
-) -> ShapleyValues {
-    let n_test = test.len();
-    let sums = crate::sharding::exact_sums_over(train.len(), 0..n_test, threads, |j, acc| {
+) -> ExactVec {
+    let schedule = Schedule::Static;
+    crate::sharding::exact_sums_over(train.len(), range, threads, schedule, |j, acc| {
         let ranked = source.ranking(&train.x, &test.x, j);
         let (per_test, _) = weighted_reg_shapley_ranked_form(
             train,
@@ -451,8 +456,7 @@ pub(crate) fn weighted_reg_shapley_checked(
             GameForm::DataOnly,
         );
         acc.add_dense(per_test.as_slice());
-    });
-    crate::sharding::finalize_mean(&sums, n_test as u64)
+    })
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 //! *relative*: its exact algorithm beats the best generic SV estimators.
 //! This module is that generic competitor, wired into the Fig. 6 harness.
 
+use crate::schedule::Schedule;
 use crate::types::ShapleyValues;
 use crate::utility::Utility;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
@@ -92,8 +93,7 @@ struct GtAcc {
     pool: Vec<usize>,
 }
 
-/// `q(k) ∝ 1/k + 1/(N−k)`, cumulative for inverse-CDF sampling — shared by
-/// the fold and the cost-model probe so both draw identical coalitions.
+/// `q(k) ∝ 1/k + 1/(N−k)`, cumulative for inverse-CDF sampling.
 fn size_cdf(n: usize) -> Vec<f64> {
     let z = z_constant(n);
     let mut cdf = Vec::with_capacity(n - 1);
@@ -122,12 +122,11 @@ fn eval_test<U: Utility + ?Sized>(
     (k, u.eval(&pool[..k]))
 }
 
-/// The shared fold of the unsharded estimator, [`crate::estimator`]'s
-/// `group-testing` partials and the adaptive scheduler: exact
-/// per-point/shared accumulators over coalition-test streams `range`, tiled
-/// per `plan` (`None` ⇒ the static blocks-per-thread default). The tiling is
-/// bitwise-free: accumulators are exact, so every block partition deposits
-/// the same multiset of summands.
+/// The one fold of the estimator — unsharded, behind
+/// [`crate::estimator`]'s `group-testing` partials, on either
+/// [`Schedule`]: exact per-point/shared accumulators over coalition-test
+/// streams `range`. The tiling is bitwise-free: accumulators are exact, so
+/// every block partition deposits the same multiset of summands.
 ///
 /// ### Determinism contract
 ///
@@ -162,7 +161,7 @@ pub(crate) fn group_testing_shapley_shard<U: Utility + ?Sized>(
     streams: RngStreams,
     range: std::ops::Range<usize>,
     threads: usize,
-    plan: Option<crate::schedule::FanoutPlan>,
+    schedule: Schedule,
 ) -> (ExactVec, ExactSum) {
     let n = u.n();
     let cdf = size_cdf(n);
@@ -171,18 +170,11 @@ pub(crate) fn group_testing_shapley_shard<U: Utility + ?Sized>(
     //   ŝ_i = ν(I)/N + (Z/T)·(point_i − shared)    (see module docs);
     // members of test t pick up u_t (= u_t·N/N), every point owes the
     // `u_t·k_t/N` share, tracked once as a scalar instead of N subtractions.
-    let (fold_threads, block) = match plan {
-        Some(p) => (p.threads, p.block_items),
-        None => (
-            threads,
-            crate::sharding::static_fold_block(range.len(), threads),
-        ),
-    };
-    let total = std::sync::Mutex::new((ExactVec::zeros(n), ExactSum::new()));
-    crate::sharding::exact_block_fold_sized(
+    crate::sharding::exact_block_fold(
         range.len(),
-        fold_threads,
-        block,
+        threads,
+        schedule,
+        || (ExactVec::zeros(n), ExactSum::new()),
         || GtAcc {
             point: ExactVec::zeros(n),
             shared: ExactSum::new(),
@@ -198,13 +190,11 @@ pub(crate) fn group_testing_shapley_shard<U: Utility + ?Sized>(
             }
             acc.shared.add(ut * k as f64 / n as f64);
         },
-        |acc| {
-            let mut t = total.lock().expect("fold poisoned");
-            t.0.merge(&acc.point);
-            t.1.merge(&acc.shared);
+        |total, acc| {
+            total.0.merge(&acc.point);
+            total.1.merge(&acc.shared);
         },
-    );
-    total.into_inner().expect("fold poisoned")
+    )
 }
 
 /// Value recovery from the accumulated sums — the single finalization both
@@ -238,7 +228,7 @@ pub(crate) fn recover_values(
 /// pure function of `(seed, t)`), and the per-point accumulators are exact —
 /// so the recovered values are **bitwise-identical for every `threads`
 /// value** and for every sharding of the test-stream range
-/// ([`group_testing_shapley_shard`]), matching the contract of the Monte
+/// (`group_testing_shapley_shard`), matching the contract of the Monte
 /// Carlo estimators in [`crate::mc`].
 pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     u: &U,
@@ -250,75 +240,10 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     assert!(n >= 2, "need at least two players");
     assert!(tests >= 1, "need at least one test");
     let streams = RngStreams::new(seed);
-    let (point, shared) = group_testing_shapley_shard(u, streams, 0..tests, threads, None);
-    let values = recover_values(u.grand(), tests, point.values(), shared.value());
-    GroupTestingResult { values, tests }
-}
-
-/// [`group_testing_shapley_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: warmup coalition tests are timed, a
-/// fan-out plan is derived (or pinned by the `KNNSHAP_SCHED_FORCE` test
-/// hook), and the fold runs on the scheduler's tiling. Bitwise-identical to
-/// the static path at every thread count — the plan only re-tiles which
-/// test streams run in which block, and the accumulators are exact.
-pub fn group_testing_shapley_adaptive<U: Utility + ?Sized>(
-    u: &U,
-    tests: usize,
-    seed: u64,
-    threads: usize,
-) -> GroupTestingResult {
-    let n = u.n();
-    assert!(n >= 2, "need at least two players");
-    assert!(tests >= 1, "need at least one test");
-    let streams = RngStreams::new(seed);
-    let model = measure_gt_model(u, &streams, tests.min(2));
-    let force = crate::schedule::forced();
-    let plan = crate::schedule::plan_fanout(&model, tests, threads, force.as_ref());
     let (point, shared) =
-        group_testing_shapley_shard(u, streams, 0..tests, plan.threads, Some(plan));
+        group_testing_shapley_shard(u, streams, 0..tests, threads, Schedule::Static);
     let values = recover_values(u.grand(), tests, point.values(), shared.value());
     GroupTestingResult { values, tests }
-}
-
-/// Sample a [`crate::schedule::CostModel`] for the group-testing fold: time
-/// the per-block accumulator setup, `warmup` real coalition tests (streams
-/// `0..warmup`, re-run by the fold afterwards — each is a pure function of
-/// `(seed, t)`), and one accumulator merge.
-fn measure_gt_model<U: Utility + ?Sized>(
-    u: &U,
-    streams: &RngStreams,
-    warmup: usize,
-) -> crate::schedule::CostModel {
-    use std::time::Instant;
-    let n = u.n();
-    let cdf = size_cdf(n);
-
-    let fork_t = Instant::now();
-    let mut point = ExactVec::zeros(n);
-    let mut pool: Vec<usize> = (0..n).collect();
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-
-    let items_t = Instant::now();
-    for t in 0..warmup {
-        let (k, ut) = eval_test(u, streams, &cdf, &mut pool, t);
-        if ut != 0.0 {
-            for &i in &pool[..k] {
-                point.add(i, ut);
-            }
-        }
-    }
-    let per_item_secs = items_t.elapsed().as_secs_f64() / warmup.max(1) as f64;
-
-    let mut total = ExactVec::zeros(n);
-    let merge_t = Instant::now();
-    total.merge(&point);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    }
 }
 
 #[cfg(test)]

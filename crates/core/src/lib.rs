@@ -25,8 +25,14 @@
 //! streaming scenario ([`streaming`]: on-the-fly accumulation as test points
 //! arrive), and the [`sharding`] runtime (per-shard partial sums over exact
 //! accumulators with a merge that is bitwise-identical to the unsharded run
-//! at every shard and thread count — see `docs/sharding.md`), whose every
-//! shardable family is described by one [`estimator::Estimator`].
+//! at every shard and thread count — see `docs/sharding.md`).
+//!
+//! Every family but LSH is described by one [`estimator::Estimator`] — the
+//! paper's §6.2 decision guide as a value — whose
+//! [`run`](estimator::Estimator::run) is the unsharded front door and whose
+//! [`prepare`](estimator::Estimator::prepare) feeds the shard runtime; LSH
+//! retrieval runs through
+//! [`lsh_approx::lsh_class_shapley_planned`].
 
 pub mod analysis;
 pub mod axioms;
@@ -42,7 +48,6 @@ pub mod group_testing;
 pub mod lsh_approx;
 pub mod mc;
 pub mod piecewise;
-pub mod pipeline;
 pub mod resident;
 pub mod schedule;
 pub mod sharding;
@@ -51,6 +56,13 @@ pub mod truncated;
 pub mod types;
 pub mod utility;
 
-pub use pipeline::{KnnShapley, Method, RegMethod, RegShapley, Valuation};
+pub use estimator::{Data, Estimator, Family, Source, Task, Valuation};
+pub use schedule::Schedule;
 pub use types::ShapleyValues;
 pub use utility::Utility;
+
+/// End-to-end tests of the valuation pipeline: every family of the §6.2
+/// decision guide through [`estimator::Estimator::run`].
+#[cfg(test)]
+#[path = "pipeline_tests.rs"]
+mod pipeline;

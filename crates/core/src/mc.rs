@@ -40,7 +40,8 @@
 //!   therefore **not shardable** — a shard cannot know whether an earlier
 //!   shard would have stopped; use a fixed budget to shard.
 
-use crate::estimator::Source;
+use crate::estimator::{Data, Source};
+use crate::schedule::{Schedule, Workers};
 use crate::sharding::Fingerprint;
 use crate::types::ShapleyValues;
 use crate::utility::{DistMatrix, Utility};
@@ -54,35 +55,12 @@ use std::sync::Arc;
 
 // Telemetry (write-only; see `knnshap_obs` crate docs — nothing below feeds
 // back into the estimate). `mc.perms` counts permutation streams consumed
-// across every MC drive; `mc.rounds` counts round-path fold boundaries;
-// the `sched.*` gauges expose the last measured cost model so operators can
-// see what the adaptive planner saw.
+// across every MC drive; `mc.rounds` counts round-path fold boundaries.
 static MC_PERMS: knnshap_obs::Counter = knnshap_obs::Counter::new("mc.perms");
 static MC_ROUNDS: knnshap_obs::Counter = knnshap_obs::Counter::new("mc.rounds");
-static SCHED_PER_ITEM: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.per_item_secs");
-static SCHED_FORK: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.fork_secs");
-static SCHED_MERGE: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.merge_secs");
-
-/// Record a measured [`crate::schedule::CostModel`] into the `sched.*`
-/// gauges and the event log (adaptive entry points only).
-fn record_model(model: &crate::schedule::CostModel) {
-    SCHED_PER_ITEM.set(model.per_item_secs);
-    SCHED_FORK.set(model.fork_secs);
-    SCHED_MERGE.set(model.merge_secs);
-    knnshap_obs::emit(
-        knnshap_obs::Level::Info,
-        "mc",
-        "cost_model",
-        &[
-            ("per_item_secs", model.per_item_secs.into()),
-            ("fork_secs", model.fork_secs.into()),
-            ("merge_secs", model.merge_secs.into()),
-        ],
-    );
-}
 
 /// When to stop drawing permutations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StoppingRule {
     /// Exactly this many permutations.
     Fixed(usize),
@@ -121,6 +99,15 @@ impl StoppingRule {
         }
     }
 
+    /// The budget of a [`Fixed`](Self::Fixed) rule — the only kind a
+    /// shard can run (see the module docs).
+    pub fn fixed(&self) -> Option<usize> {
+        match *self {
+            StoppingRule::Fixed(t) => Some(t),
+            _ => None,
+        }
+    }
+
     fn threshold(&self) -> Option<f64> {
         match *self {
             StoppingRule::Heuristic { threshold, .. } => Some(threshold),
@@ -148,129 +135,87 @@ struct BlockAcc<W> {
     phi: Vec<f64>,
 }
 
+impl<W: FnMut(usize, &mut [f64])> BlockAcc<W> {
+    fn new(worker: W, n: usize) -> Self {
+        BlockAcc {
+            worker,
+            sums: ExactVec::zeros(n),
+            phi: vec![0.0; n],
+        }
+    }
+
+    /// Run permutation `t` and deposit its marginal-contribution vector.
+    fn step(&mut self, t: usize) {
+        (self.worker)(t, &mut self.phi);
+        self.sums.add_dense(&self.phi);
+    }
+}
+
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
-/// folds: run permutation streams `range` (of a job whose full
-/// stream space is `0..total`), depositing every marginal-contribution
-/// vector into exact accumulators, eagerly merged block by block
-/// ([`crate::sharding::exact_block_fold`]) so live accumulators stay
-/// bounded by the worker count. The returned partial state is a pure
-/// function of `(job, range)` — never of `threads` or of how the rest of
-/// the job is sharded.
+/// folds: run permutation streams `range` (of a job whose full stream space
+/// is `0..total`), depositing every marginal-contribution vector into exact
+/// accumulators, eagerly merged block by block
+/// ([`crate::sharding::exact_block_fold`], tiled per `schedule`) so live
+/// accumulators stay bounded by the worker count. The returned partial
+/// state is a pure function of `(job, range)` — never of `threads`, of the
+/// schedule, or of how the rest of the job is sharded.
 fn run_fanout<W, F>(
     n: usize,
     range: std::ops::Range<usize>,
     threads: usize,
+    schedule: Schedule,
     make_worker: F,
 ) -> ExactVec
 where
     W: FnMut(usize, &mut [f64]) + Send,
     F: Fn() -> W + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n));
-    crate::sharding::exact_block_fold(
+    let sums = crate::sharding::exact_block_fold(
         range.len(),
         threads,
-        || BlockAcc {
-            worker: make_worker(),
-            sums: ExactVec::zeros(n),
-            phi: vec![0.0; n],
-        },
-        |acc, t| {
-            (acc.worker)(range.start + t, &mut acc.phi);
-            acc.sums.add_dense(&acc.phi);
-        },
-        |acc| total.lock().expect("fold poisoned").merge(&acc.sums),
+        schedule,
+        || ExactVec::zeros(n),
+        || BlockAcc::new(make_worker(), n),
+        |acc, t| acc.step(range.start + t),
+        |total, acc| total.merge(&acc.sums),
     );
     MC_PERMS.add(range.len() as u64);
-    total.into_inner().expect("fold poisoned")
+    sums
 }
 
-/// [`run_fanout`] with a scheduler-chosen block size
-/// ([`crate::sharding::exact_block_fold_sized`]). Exact accumulation makes
-/// the tiling bitwise-free: every block size deposits the same multiset of
-/// summands into an order/grouping-invariant merge.
-fn run_fanout_tiled<W, F>(
+/// Both estimators' drive: the round path for heuristic stopping and/or
+/// snapshots, the exact fan-out otherwise, each tiled per `workers`'
+/// schedule. A measured round plan is sampled from fan-out blocks of the
+/// same job.
+fn drive<W, F>(
     n: usize,
-    range: std::ops::Range<usize>,
-    plan: crate::schedule::FanoutPlan,
+    rule: StoppingRule,
+    snapshot_every: Option<usize>,
+    workers: Workers,
     make_worker: F,
-) -> ExactVec
+) -> McResult
 where
     W: FnMut(usize, &mut [f64]) + Send,
     F: Fn() -> W + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n));
-    crate::sharding::exact_block_fold_sized(
-        range.len(),
-        plan.threads,
-        plan.block_items,
-        || BlockAcc {
-            worker: make_worker(),
-            sums: ExactVec::zeros(n),
-            phi: vec![0.0; n],
-        },
-        |acc, t| {
-            (acc.worker)(range.start + t, &mut acc.phi);
-            acc.sums.add_dense(&acc.phi);
-        },
-        |acc| total.lock().expect("fold poisoned").merge(&acc.sums),
-    );
-    MC_PERMS.add(range.len() as u64);
-    total.into_inner().expect("fold poisoned")
-}
-
-/// Sample a [`crate::schedule::CostModel`] from warmup items of the actual
-/// job: time one worker fork (plus the exact accumulator a block allocates),
-/// `warmup` permutations, and one accumulator merge. The warmup streams are
-/// re-run by the real pass afterwards — permutation `t` is a pure function
-/// of `(seed, t)`, so re-running it is free of side effects and the sampled
-/// work is thrown away.
-fn measure_mc_model<W, F>(n: usize, warmup: usize, make_worker: &F) -> crate::schedule::CostModel
-where
-    W: FnMut(usize, &mut [f64]) + Send,
-    F: Fn() -> W + Sync,
-{
-    use std::time::Instant;
-    let fork_t = Instant::now();
-    let mut worker = make_worker();
-    let mut sums = ExactVec::zeros(n);
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-
-    let mut phi = vec![0.0f64; n];
-    let items_t = Instant::now();
-    for t in 0..warmup {
-        worker(t, &mut phi);
-        sums.add_dense(&phi);
+    let budget = rule.budget(n);
+    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
+        let plan = workers.schedule.rounds(budget, workers.threads, || {
+            crate::schedule::measure(
+                budget,
+                || ExactVec::zeros(n),
+                || BlockAcc::new(make_worker(), n),
+                BlockAcc::step,
+                |total, acc| total.merge(&acc.sums),
+            )
+        });
+        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
     }
-    let per_item_secs = items_t.elapsed().as_secs_f64() / warmup.max(1) as f64;
-
-    let mut total = ExactVec::zeros(n);
-    let merge_t = Instant::now();
-    total.merge(&sums);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    }
-}
-
-/// How many warmup permutations the adaptive entry points sample before
-/// planning. Small on purpose: the samples are re-run by the real pass.
-const MC_WARMUP: usize = 2;
-
-/// The static (non-measured) round tiling: `mc_round_size(budget)` streams
-/// per round, chunked a few permutations per fork so fork cost amortizes
-/// even without a cost model. Pure function of `(budget, threads)` — never
-/// of measured time — so the static estimators stay reproducible plans.
-fn static_round_plan(budget: usize, threads: usize) -> crate::schedule::RoundPlan {
-    let round = crate::bounds::mc_round_size(budget);
-    let workers = threads.max(1);
-    crate::schedule::RoundPlan {
-        threads: workers,
-        round,
-        chunk_perms: round.div_ceil(workers.saturating_mul(4)).max(1),
+    let sums = run_fanout(n, 0..budget, workers.threads, workers.schedule, make_worker);
+    McResult {
+        values: crate::sharding::finalize_mean(&sums, budget as u64),
+        permutations: budget,
+        snapshots: Vec::new(),
     }
 }
 
@@ -400,69 +345,22 @@ pub fn mc_shapley_baseline<U: Utility + ?Sized>(
 }
 
 /// The baseline estimator (§2.2): full utility re-evaluation per prefix,
-/// permutations fanned across `threads` pool workers. Bitwise-identical
-/// output for every `threads` value (see the module docs).
+/// permutations fanned across the pool. `threads` is a worker count (the
+/// static schedule) or [`Workers`] naming the schedule too. Output is
+/// bitwise-identical for every thread count and schedule (see the module
+/// docs); `tests/schedule_determinism.rs` enforces it.
 pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
     u: &U,
     rule: StoppingRule,
     seed: u64,
     snapshot_every: Option<usize>,
-    threads: usize,
+    threads: impl Into<Workers>,
 ) -> McResult {
-    let n = u.n();
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    let make_worker = || baseline_worker(u, streams, nu_empty);
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let budget = rule.budget(n);
-    let sums = run_fanout(n, 0..budget, threads, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
-}
-
-/// [`mc_shapley_baseline_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: warmup permutations are timed, a plan is
-/// derived (or pinned by the `KNNSHAP_SCHED_FORCE` test hook), and the run
-/// proceeds on the scheduler's tiling. Output is **bitwise-identical** to
-/// the static path at every thread count and under every forced schedule —
-/// the plan only re-tiles which permutations run in which block/round (see
-/// the [`crate::schedule`] docs); `tests/schedule_determinism.rs` enforces
-/// it.
-pub fn mc_shapley_baseline_adaptive<U: Utility + ?Sized>(
-    u: &U,
-    rule: StoppingRule,
-    seed: u64,
-    snapshot_every: Option<usize>,
-    threads: usize,
-) -> McResult {
-    let n = u.n();
-    let budget = rule.budget(n);
-    if budget == 0 {
-        return mc_shapley_baseline_with_threads(u, rule, seed, snapshot_every, threads);
-    }
-    let streams = RngStreams::new(seed);
-    let nu_empty = u.eval(&[]);
-    let make_worker = || baseline_worker(u, streams, nu_empty);
-    let model = measure_mc_model(n, MC_WARMUP.min(budget), &make_worker);
-    record_model(&model);
-    let force = crate::schedule::forced();
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = crate::schedule::plan_rounds(&model, budget, threads, force.as_ref());
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout_tiled(n, 0..budget, plan, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
+    drive(u.n(), rule, snapshot_every, threads.into(), || {
+        baseline_worker(u, streams, nu_empty)
+    })
 }
 
 /// The baseline estimator's per-permutation worker: full utility
@@ -513,7 +411,7 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
 ///
 /// let cfg = BlobConfig { n: 12, dim: 2, n_classes: 2, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 7));
-/// let family = Family::McBaseline { perms: 20 };
+/// let family = Family::McBaseline { rule: StoppingRule::Fixed(20) };
 /// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 42 };
 /// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
 /// let parts: Vec<_> = (0..3).map(|i| job.partial(ShardSpec::new(i, 3), 1)).collect();
@@ -533,7 +431,7 @@ pub(crate) fn mc_shapley_baseline_shard<U: Utility + ?Sized>(
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    run_fanout(u.n(), range, threads, || {
+    run_fanout(u.n(), range, threads, Schedule::Static, || {
         baseline_worker(u, streams, nu_empty)
     })
 }
@@ -608,65 +506,49 @@ impl IncKnnUtility {
         k: usize,
         weight: WeightFn,
     ) -> Self {
-        Self::class_with_source(train, test, k, weight, Source::Brute)
-    }
-
-    /// [`classification`](Self::classification) with the shared distance
-    /// matrix taken from `source`: a graph yields bitwise-identical entries,
-    /// and the content fingerprint stays the dataset-derived hash. The
-    /// caller has validated a graph against `(train.x, test.x)`.
-    pub(crate) fn class_with_source(
-        train: &ClassDataset,
-        test: &ClassDataset,
-        k: usize,
-        weight: WeightFn,
-        source: Source<'_>,
-    ) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: source.dist_matrix(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Class {
-                    labels: train.y.clone(),
-                    test_labels: test.y.clone(),
-                },
-                content: Self::class_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        Self::with_source(Data::Class { train, test }, k, weight, Source::Brute)
     }
 
     pub fn regression(train: &RegDataset, test: &RegDataset, k: usize, weight: WeightFn) -> Self {
-        Self::reg_with_source(train, test, k, weight, Source::Brute)
+        Self::with_source(Data::Reg { train, test }, k, weight, Source::Brute)
     }
 
-    /// [`regression`](Self::regression) with the distance matrix taken from
-    /// `source` (see [`class_with_source`](Self::class_with_source)).
-    pub(crate) fn reg_with_source(
-        train: &RegDataset,
-        test: &RegDataset,
+    /// The utility of `data`'s task with the shared distance matrix taken
+    /// from `source`: a graph yields bitwise-identical entries, and the
+    /// content fingerprint stays the dataset-derived hash. The caller has
+    /// validated a graph against the features.
+    pub(crate) fn with_source(
+        data: Data<'_>,
         k: usize,
         weight: WeightFn,
         source: Source<'_>,
     ) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: source.dist_matrix(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Reg {
+        let (train_x, test_x) = data.features();
+        assert!(k >= 1 && !test_x.is_empty());
+        let (task, content) = match data {
+            Data::Class { train, test } => (
+                IncTask::Class {
+                    labels: train.y.clone(),
+                    test_labels: test.y.clone(),
+                },
+                Self::class_content_fingerprint(train, test, k, weight),
+            ),
+            Data::Reg { train, test } => (
+                IncTask::Reg {
                     targets: train.y.clone(),
                     test_targets: test.y.clone(),
                 },
-                content: Self::reg_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+                Self::reg_content_fingerprint(train, test, k, weight),
+            ),
+        };
+        let shared = IncShared {
+            dist: source.dist_matrix(train_x, test_x),
+            k,
+            weight,
+            task,
+            content,
+        };
+        Self::from_shared(Arc::new(shared), test_x.len())
     }
 
     /// The dataset-content hash a [`classification`](Self::classification)
@@ -846,64 +728,21 @@ pub fn mc_shapley_improved(
 }
 
 /// The improved estimator (Algorithm 2): heap-incremental utility updates,
-/// permutations fanned across `threads` pool workers, each on a
-/// [`fork`](IncKnnUtility::fork) of `u`. Bitwise-identical output for every
-/// `threads` value (see the module docs).
+/// permutations fanned across the pool, each on a
+/// [`fork`](IncKnnUtility::fork) of `u`. `threads` as for
+/// [`mc_shapley_baseline_with_threads`]; bitwise-identical output for every
+/// thread count and schedule (see the module docs).
 pub fn mc_shapley_improved_with_threads(
     u: &IncKnnUtility,
     rule: StoppingRule,
     seed: u64,
     snapshot_every: Option<usize>,
-    threads: usize,
+    threads: impl Into<Workers>,
 ) -> McResult {
-    let n = u.n();
     let streams = RngStreams::new(seed);
-    let make_worker = || improved_worker(u, streams);
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let budget = rule.budget(n);
-    let sums = run_fanout(n, 0..budget, threads, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
-}
-
-/// [`mc_shapley_improved_with_threads`] scheduled by the measured cost model
-/// (see [`mc_shapley_baseline_adaptive`] — same contract: the plan is
-/// derived from warmup timings or pinned by `KNNSHAP_SCHED_FORCE`, and the
-/// output is bitwise-identical to the static path at every thread count).
-pub fn mc_shapley_improved_adaptive(
-    u: &IncKnnUtility,
-    rule: StoppingRule,
-    seed: u64,
-    snapshot_every: Option<usize>,
-    threads: usize,
-) -> McResult {
-    let n = u.n();
-    let budget = rule.budget(n);
-    if budget == 0 {
-        return mc_shapley_improved_with_threads(u, rule, seed, snapshot_every, threads);
-    }
-    let streams = RngStreams::new(seed);
-    let make_worker = || improved_worker(u, streams);
-    let model = measure_mc_model(n, MC_WARMUP.min(budget), &make_worker);
-    record_model(&model);
-    let force = crate::schedule::forced();
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = crate::schedule::plan_rounds(&model, budget, threads, force.as_ref());
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout_tiled(n, 0..budget, plan, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
+    drive(u.n(), rule, snapshot_every, threads.into(), || {
+        improved_worker(u, streams)
+    })
 }
 
 /// Algorithm 2's per-permutation worker: heap-incremental utility updates on
@@ -947,7 +786,7 @@ fn improved_worker<'a>(
 ///
 /// let cfg = BlobConfig { n: 15, dim: 2, n_classes: 2, ..Default::default() };
 /// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 3));
-/// let family = Family::McImproved { perms: 50 };
+/// let family = Family::McImproved { rule: StoppingRule::Fixed(50) };
 /// let est = Estimator { task: Task::Class, k: 2, weight: WeightFn::Uniform, family, seed: 9 };
 /// let job = est.prepare(Data::Class { train: &train, test: &test }, Source::Brute).unwrap();
 /// let parts: Vec<_> = (0..2).map(|i| job.partial(ShardSpec::new(i, 2), 1)).collect();
@@ -965,7 +804,9 @@ pub(crate) fn mc_shapley_improved_shard(
     threads: usize,
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
-    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
+    run_fanout(u.n(), range, threads, Schedule::Static, || {
+        improved_worker(u, streams)
+    })
 }
 
 /// Empirical "ground truth" permutation demand (Fig. 11): the first `t` at
@@ -1074,8 +915,12 @@ mod tests {
                 .fingerprint
         };
         let (baseline, improved) = (
-            Family::McBaseline { perms: 10 },
-            Family::McImproved { perms: 10 },
+            Family::McBaseline {
+                rule: StoppingRule::Fixed(10),
+            },
+            Family::McImproved {
+                rule: StoppingRule::Fixed(10),
+            },
         );
         // The dataset-level identity equals the one derived from a built
         // utility's content fingerprint, as shard files have always carried.

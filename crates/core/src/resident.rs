@@ -470,31 +470,31 @@ impl ResidentValuator {
     pub fn what_if(&self, row: &[f32], label: u32) -> Result<f64, ResidentError> {
         self.check_point(row)?;
         let n = self.train.len();
-        let sums =
-            crate::sharding::exact_sums_over(1, 0..self.test.len(), self.threads, |j, acc| {
-                let (list, y) = (&self.ranked[j], self.test.y[j]);
-                let d = Metric::SquaredL2.eval(self.test.x.row(j), row);
-                let pos = list.partition_point(|nb| nb.dist <= d);
-                let cand = f64::from(label == y);
-                theorem1_recurrence(
-                    n + 1,
-                    self.k,
-                    |r| match r.cmp(&pos) {
-                        std::cmp::Ordering::Less => {
-                            f64::from(self.train.y[list[r].index as usize] == y)
-                        }
-                        std::cmp::Ordering::Equal => cand,
-                        std::cmp::Ordering::Greater => {
-                            f64::from(self.train.y[list[r - 1].index as usize] == y)
-                        }
-                    },
-                    |r, s| {
-                        if r == pos {
-                            acc.add(0, s);
-                        }
-                    },
-                );
-            });
+        let (tests, schedule) = (0..self.test.len(), crate::schedule::Schedule::Static);
+        let sums = crate::sharding::exact_sums_over(1, tests, self.threads, schedule, |j, acc| {
+            let (list, y) = (&self.ranked[j], self.test.y[j]);
+            let d = Metric::SquaredL2.eval(self.test.x.row(j), row);
+            let pos = list.partition_point(|nb| nb.dist <= d);
+            let cand = f64::from(label == y);
+            theorem1_recurrence(
+                n + 1,
+                self.k,
+                |r| match r.cmp(&pos) {
+                    std::cmp::Ordering::Less => {
+                        f64::from(self.train.y[list[r].index as usize] == y)
+                    }
+                    std::cmp::Ordering::Equal => cand,
+                    std::cmp::Ordering::Greater => {
+                        f64::from(self.train.y[list[r - 1].index as usize] == y)
+                    }
+                },
+                |r, s| {
+                    if r == pos {
+                        acc.add(0, s);
+                    }
+                },
+            );
+        });
         Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64).get(0))
     }
 }

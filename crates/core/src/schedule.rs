@@ -4,21 +4,21 @@
 //! (Algorithm 3) and the truncated multi-test path are the estimators whose
 //! cost is a *budget* (permutations, coalition tests, test points) rather
 //! than a closed form — the one place where "how do we tile the work" is a
-//! real decision. Until this module that decision was a pile of static
-//! heuristics ([`crate::bounds::mc_round_size`], the fixed
-//! blocks-per-thread fan-out of `crate::sharding`), which `BENCH_mc.json`
-//! showed losing to single-threaded execution outright: rounds of ≤ 64
-//! permutations forked a fresh utility *per permutation* and paid pool
-//! fan-out that the tiny blocks never amortized.
+//! real decision. Each of them has one fold, and a [`Schedule`] handed to
+//! that fold picks the tiling:
 //!
-//! The scheduler replaces guesses with three measured numbers, sampled from
-//! warmup items of the actual job ([`CostModel`]):
+//! * [`Schedule::Static`] — fixed heuristics, pure functions of the item and
+//!   worker counts (`static_fold_block` for the exact fan-out folds,
+//!   `static_round_plan` for the Monte Carlo round path);
+//! * [`Schedule::Measured`] — three numbers sampled from warm-up items of
+//!   the actual job by the one measurement helper, `measure`
+//!   ([`CostModel`]):
 //!
-//! * `per_item_secs` — wall time of one permutation / coalition test / test
-//!   point;
-//! * `fork_secs` — the setup a block pays before its first item (forking
-//!   the utility, zeroing an exact accumulator);
-//! * `merge_secs` — the cost of folding a finished block into the total.
+//!   * `per_item_secs` — wall time of one permutation / coalition test /
+//!     test point;
+//!   * `fork_secs` — the setup a block pays before its first item (forking
+//!     the utility, zeroing an exact accumulator);
+//!   * `merge_secs` — the cost of folding a finished block into the total.
 //!
 //! From those, pure planners choose the tiling: [`plan_fanout`] (block size
 //! and serial-vs-parallel for the a-priori-budget fan-out path),
@@ -41,6 +41,187 @@
 //! enforces exactly that, using the [`forced`] hook
 //! (`KNNSHAP_SCHED_FORCE`) to pin pathological schedules.
 
+use std::time::Instant;
+
+// Telemetry (write-only; see the `knnshap_obs` crate docs): the last
+// measured cost model, so operators can see what the planner saw.
+static SCHED_PER_ITEM: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.per_item_secs");
+static SCHED_FORK: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.fork_secs");
+static SCHED_MERGE: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.merge_secs");
+
+/// How a budget-driven fold tiles its items across the pool. Output is
+/// bitwise-identical under either (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Schedule {
+    /// Fixed heuristics: a pure function of the item and worker counts.
+    #[default]
+    Static,
+    /// Plan from a [`CostModel`] measured on warm-up items of the job (or
+    /// from the [`forced`] test hook).
+    Measured,
+}
+
+/// A worker count plus the [`Schedule`] that tiles their work. A bare
+/// thread count converts to the static schedule, so every
+/// `*_with_threads(…, threads)` call keeps its meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Workers {
+    pub threads: usize,
+    pub schedule: Schedule,
+}
+
+impl Workers {
+    /// `threads` workers on the measured schedule.
+    pub fn measured(threads: usize) -> Self {
+        Workers {
+            threads,
+            schedule: Schedule::Measured,
+        }
+    }
+}
+
+impl From<usize> for Workers {
+    fn from(threads: usize) -> Self {
+        Workers {
+            threads,
+            schedule: Schedule::Static,
+        }
+    }
+}
+
+impl Schedule {
+    /// The tiling of an exact fan-out fold of `count` items on `threads`
+    /// workers: the static partition, or the plan of the model `measure`
+    /// samples (called only on the measured schedule, and never for an
+    /// empty fold — there is nothing to measure on).
+    pub(crate) fn fanout(
+        self,
+        count: usize,
+        threads: usize,
+        measure: impl FnOnce() -> CostModel,
+    ) -> FanoutPlan {
+        match self {
+            Schedule::Measured if count > 0 => {
+                plan_fanout(&measure(), count, threads, forced().as_ref())
+            }
+            _ => FanoutPlan {
+                threads,
+                block_items: static_fold_block(count, threads),
+            },
+        }
+    }
+
+    /// The tiling of the Monte Carlo round path over `budget` permutations;
+    /// `measure` as for [`fanout`](Self::fanout).
+    pub(crate) fn rounds(
+        self,
+        budget: usize,
+        threads: usize,
+        measure: impl FnOnce() -> CostModel,
+    ) -> RoundPlan {
+        match self {
+            Schedule::Measured if budget > 0 => {
+                plan_rounds(&measure(), budget, threads, forced().as_ref())
+            }
+            _ => static_round_plan(budget, threads),
+        }
+    }
+}
+
+/// Warm-up items [`measure`] times. Small on purpose: the real pass re-runs
+/// them.
+const WARMUP: usize = 2;
+
+/// The one warm-up measurement behind every measured plan. Times one block
+/// setup (`make`), the first `min(2, count)` items of the fold (`step`), and
+/// one merge of that block into a fresh total (`zero`, allocated outside the
+/// timed region; `merge`) — the very closures the fold then runs. Each item
+/// is a pure function of its index, so the sampled work is simply thrown
+/// away and re-run by the real pass. The model is recorded into the
+/// `sched.*` gauges and the `mc.cost_model` event.
+pub(crate) fn measure<T, A>(
+    count: usize,
+    zero: impl Fn() -> T,
+    make: impl Fn() -> A,
+    step: impl Fn(&mut A, usize),
+    merge: impl Fn(&mut T, &A),
+) -> CostModel {
+    let warmup = WARMUP.min(count);
+    let fork_t = Instant::now();
+    let mut acc = make();
+    let fork_secs = fork_t.elapsed().as_secs_f64();
+
+    let items_t = Instant::now();
+    for t in 0..warmup {
+        step(&mut acc, t);
+    }
+    let per_item_secs = items_t.elapsed().as_secs_f64() / warmup.max(1) as f64;
+
+    let mut total = zero();
+    let merge_t = Instant::now();
+    merge(&mut total, &acc);
+    let merge_secs = merge_t.elapsed().as_secs_f64();
+
+    let model = CostModel {
+        per_item_secs,
+        fork_secs,
+        merge_secs,
+    };
+    SCHED_PER_ITEM.set(model.per_item_secs);
+    SCHED_FORK.set(model.fork_secs);
+    SCHED_MERGE.set(model.merge_secs);
+    knnshap_obs::emit(
+        knnshap_obs::Level::Info,
+        "mc",
+        "cost_model",
+        &[
+            ("per_item_secs", model.per_item_secs.into()),
+            ("fork_secs", model.fork_secs.into()),
+            ("merge_secs", model.merge_secs.into()),
+        ],
+    );
+    model
+}
+
+/// Block-granularity cap for the static exact folds: enough scheduling
+/// units for the pool to balance skewed per-item costs, few enough that
+/// block setup is invisible. The actual block count also scales with the
+/// thread count: every block pays O(`n_train`) accumulator setup, so a
+/// serial fold uses one block and a parallel one a few blocks per worker —
+/// never more than this cap.
+const FOLD_BLOCKS: usize = 32;
+
+/// Scheduling units per worker below the [`FOLD_BLOCKS`] cap — enough slack
+/// to rebalance skewed items without multiplying accumulator setup.
+const FOLD_BLOCKS_PER_THREAD: usize = 4;
+
+/// The static block size of an exact fold of `count` items: one block per
+/// serial fold; a few per worker otherwise, capped at [`FOLD_BLOCKS`].
+/// Bitwise-free choice — the accumulators are exact, so the partition (like
+/// the fold order) cannot move a bit; it is picked purely for cost.
+pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
+    let target = if threads <= 1 {
+        1
+    } else {
+        FOLD_BLOCKS.min(threads.saturating_mul(FOLD_BLOCKS_PER_THREAD))
+    };
+    count.div_ceil(target).max(1)
+}
+
+/// The static round tiling of the Monte Carlo round path:
+/// [`crate::bounds::mc_round_size`] streams per round, chunked a few
+/// permutations per fork so fork cost amortizes even without a cost model.
+/// Pure function of `(budget, threads)` — never of measured time.
+pub(crate) fn static_round_plan(budget: usize, threads: usize) -> RoundPlan {
+    let round = crate::bounds::mc_round_size(budget);
+    let workers = threads.max(1);
+    RoundPlan {
+        threads: workers,
+        round,
+        chunk_perms: round.div_ceil(workers.saturating_mul(4)).max(1),
+    }
+}
+
 /// Per-block compute must be at least this multiple of the block's
 /// fork + merge overhead before parallel fan-out is worth it.
 pub const AMORTIZE: f64 = 8.0;
@@ -55,8 +236,8 @@ pub const BLOCKS_PER_THREAD: usize = 4;
 pub const MAX_ROUND: usize = 4096;
 
 /// The three measured numbers every plan is derived from. Sampled from
-/// warmup items of the actual job (see `measure_*` in the estimator
-/// modules); constructed directly in tests with synthetic timings.
+/// warmup items of the actual job by `measure`; constructed directly in
+/// tests with synthetic timings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Wall seconds per item (permutation, coalition test, test point).

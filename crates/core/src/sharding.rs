@@ -70,6 +70,7 @@
 //! }
 //! ```
 
+use crate::schedule::Schedule;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
@@ -450,91 +451,53 @@ pub(crate) fn finalize_mean(sums: &ExactVec, total_items: u64) -> ShapleyValues 
     ShapleyValues::new((0..sums.len()).map(|i| sums.value(i) / d).collect())
 }
 
-/// Block-granularity cap for the exact folds: enough scheduling units for
-/// the pool to balance skewed per-item costs, few enough that block setup
-/// is invisible. The actual block count also scales with the thread count
-/// (see [`exact_block_fold`]): every block pays O(`n_train`) accumulator
-/// setup, so a serial fold uses one block and a parallel one a few blocks
-/// per worker — never more than this cap.
-const FOLD_BLOCKS: usize = 32;
-
-/// Scheduling units per worker below the [`FOLD_BLOCKS`] cap — enough slack
-/// to rebalance skewed items without multiplying accumulator setup.
-const FOLD_BLOCKS_PER_THREAD: usize = 4;
-
 /// The one parallel fold shape behind every exact accumulation in the
-/// workspace: tile `count` items into a fixed block partition, give each
-/// block a fresh accumulator from `make`, `step` it over the block's items
-/// in order, and hand the finished accumulator to `fold` — which merges it
-/// into a shared total and **drops it immediately**, so live accumulators
-/// are bounded by the worker count rather than the block count (exact
-/// accumulators cost ~0.5 KiB per training point; 32 simultaneous partials
-/// of a million-point job would be ~18 GiB, while this shape stays at
-/// `threads + 1` partials).
+/// workspace: tile `count` items into blocks (the partition `schedule`
+/// picks — see [`crate::schedule`]), give each block a fresh accumulator
+/// from `make`, `step` it over the block's items in order, then `merge` it
+/// into the shared total (`zero()` to start) and **drop it immediately**,
+/// so live accumulators are bounded by the worker count rather than the
+/// block count (exact accumulators cost ~0.5 KiB per training point; 32
+/// simultaneous partials of a million-point job would be ~18 GiB, while
+/// this shape stays at `threads + 1` partials). A measured schedule times
+/// warm-up items through these same closures before planning.
 ///
 /// ### Determinism contract
 ///
-/// `fold` runs in scheduling order, which varies — that is sound *only*
+/// `merge` runs in scheduling order, which varies — that is sound *only*
 /// because the accumulators merged here are exact ([`ExactVec`] /
 /// [`knnshap_numerics::exact::ExactSum`]), whose merge is error-free and
-/// therefore order-invariant. Never route rounded (f64/Neumaier) partials
+/// therefore order-invariant; for the same reason every block partition
+/// yields the same bits. Never route rounded (f64/Neumaier) partials
 /// through this helper.
-pub(crate) fn exact_block_fold<A, M, S, F>(count: usize, threads: usize, make: M, step: S, fold: F)
-where
-    A: Send,
-    M: Fn() -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    F: Fn(A) + Sync,
-{
-    let block = static_fold_block(count, threads);
-    exact_block_fold_sized(count, threads, block, make, step, fold);
-}
-
-/// The static (non-measured) block size of [`exact_block_fold`]: one block
-/// per serial fold; a few per worker otherwise, capped at [`FOLD_BLOCKS`].
-/// Bitwise-free choice — the accumulators are exact, so the partition (like
-/// the fold order) cannot move a bit; it is picked purely for cost.
-pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
-    let target = if threads <= 1 {
-        1
-    } else {
-        FOLD_BLOCKS.min(threads.saturating_mul(FOLD_BLOCKS_PER_THREAD))
-    };
-    count.div_ceil(target).max(1)
-}
-
-/// [`exact_block_fold`] with a caller-chosen block size — the entry point of
-/// the measured scheduler ([`crate::schedule`]), which picks `block` so one
-/// block's compute amortizes the accumulator setup (`make`) and merge
-/// (`fold`) it pays. The partition is still bitwise-free: exact accumulators
-/// make every tiling of `0..count` deposit the same multiset of summands.
-pub(crate) fn exact_block_fold_sized<A, M, S, F>(
+pub(crate) fn exact_block_fold<T, A>(
     count: usize,
     threads: usize,
-    block: usize,
-    make: M,
-    step: S,
-    fold: F,
-) where
+    schedule: Schedule,
+    zero: impl Fn() -> T,
+    make: impl Fn() -> A + Sync,
+    step: impl Fn(&mut A, usize) + Sync,
+    merge: impl Fn(&mut T, &A) + Sync,
+) -> T
+where
+    T: Send,
     A: Send,
-    M: Fn() -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    F: Fn(A) + Sync,
 {
-    if count == 0 {
-        return;
-    }
-    let block = block.clamp(1, count);
-    let blocks = count.div_ceil(block);
-    knnshap_parallel::par_map(blocks, threads, |b| {
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(count);
-        let mut acc = make();
-        for j in lo..hi {
-            step(&mut acc, j);
-        }
-        fold(acc);
+    let plan = schedule.fanout(count, threads, || {
+        crate::schedule::measure(count, &zero, &make, &step, &merge)
     });
+    let total = std::sync::Mutex::new(zero());
+    if count > 0 {
+        let block = plan.block_items.clamp(1, count);
+        knnshap_parallel::par_map(count.div_ceil(block), plan.threads, |b| {
+            let mut acc = make();
+            for j in b * block..((b + 1) * block).min(count) {
+                step(&mut acc, j);
+            }
+            merge(&mut total.lock().expect("fold poisoned"), &acc);
+        });
+    }
+    total.into_inner().expect("fold poisoned")
 }
 
 /// [`exact_block_fold`] specialized to the per-item-mean families: fill a
@@ -544,51 +507,29 @@ pub(crate) fn exact_sums_over<F>(
     n_train: usize,
     range: std::ops::Range<usize>,
     threads: usize,
+    schedule: Schedule,
     fill: F,
 ) -> ExactVec
 where
     F: Fn(usize, &mut ExactVec) + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
     exact_block_fold(
         range.len(),
         threads,
+        schedule,
+        || ExactVec::zeros(n_train),
         || ExactVec::zeros(n_train),
         |acc, j| fill(range.start + j, acc),
-        |acc| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
-}
-
-/// [`exact_sums_over`] with a caller-chosen block size (see
-/// [`exact_block_fold_sized`]) — same bits, scheduler-picked tiling.
-pub(crate) fn exact_sums_over_sized<F>(
-    n_train: usize,
-    range: std::ops::Range<usize>,
-    threads: usize,
-    block: usize,
-    fill: F,
-) -> ExactVec
-where
-    F: Fn(usize, &mut ExactVec) + Sync,
-{
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
-    exact_block_fold_sized(
-        range.len(),
-        threads,
-        block,
-        || ExactVec::zeros(n_train),
-        |acc, j| fill(range.start + j, acc),
-        |acc| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
+        |total, acc| total.merge(acc),
+    )
 }
 
 /// [`exact_sums_over`] for fills that touch (nearly) every training point
 /// per item — the exact recursions do, one contribution per rank: `fill`
 /// writes item `j`'s contributions into a zeroed dense `f64` scratch
 /// (`scratch[i] = contribution of train point i`), and the fold deposits
-/// the scratch with [`ExactVec::add_dense`].
+/// the scratch with [`ExactVec::add_dense`]. Always on the static schedule
+/// (the closed-form families have no budget to plan).
 ///
 /// Identical bits to the sink-per-contribution shape — the deposited
 /// values are the same `f64`s and exact accumulation is order-invariant —
@@ -619,19 +560,19 @@ where
         }
         return total;
     }
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
     exact_block_fold(
         range.len(),
         threads,
+        Schedule::Static,
+        || ExactVec::zeros(n_train),
         || (ExactVec::zeros(n_train), vec![0.0f64; n_train]),
         |(acc, scratch), j| {
             scratch.fill(0.0);
             fill(range.start + j, scratch);
             acc.add_dense(scratch);
         },
-        |(acc, _)| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
+        |total, (acc, _)| total.merge(acc),
+    )
 }
 
 /// Merge shard partials into the job's final valuation.

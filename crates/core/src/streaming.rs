@@ -153,6 +153,7 @@ impl<'a> OnlineValuator<'a> {
             this.train.len(),
             0..chunk.len(),
             threads,
+            crate::schedule::Schedule::Static,
             |j, acc| acc.add_dense(this.per_query(chunk.x.row(j), chunk.y[j]).as_slice()),
         );
         self.sum.merge(&partial);

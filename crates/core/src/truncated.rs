@@ -21,6 +21,7 @@
 //! degenerates; see `all_zero_estimate_on_pure_clusters_is_still_valid`.
 
 use crate::estimator::Source;
+use crate::schedule::Workers;
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
@@ -134,65 +135,23 @@ pub fn truncated_class_shapley_with_threads(
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
-    let sums =
-        truncated_class_shapley_shard(train, test, k, eps, Source::Brute, 0..test.len(), threads);
+    let sums = truncated_class_shapley_shard(
+        train,
+        test,
+        k,
+        eps,
+        Source::Brute,
+        0..test.len(),
+        Workers::from(threads),
+    );
     crate::sharding::finalize_mean(&sums, test.len() as u64)
 }
 
-/// [`truncated_class_shapley_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: one warmup test-point game is timed (and
-/// re-run by the real pass — it is a pure function of its index), a fan-out
-/// plan is derived (or pinned by the `KNNSHAP_SCHED_FORCE` test hook), and
-/// the per-test games fold on the scheduler's tiling. Bitwise-identical to
-/// the static path at every thread count: the plan only re-tiles which test
-/// points run in which block, and the accumulators are exact.
-pub fn truncated_class_shapley_adaptive(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    threads: usize,
-) -> ShapleyValues {
-    use std::time::Instant;
-    assert!(!test.is_empty(), "need at least one test point");
-    let n_test = test.len();
-
-    let fork_t = Instant::now();
-    let mut probe = ExactVec::zeros(train.len());
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-    let item_t = Instant::now();
-    let per_test = truncated_class_shapley_single(train, test.x.row(0), test.y[0], k, eps);
-    probe.add_dense(per_test.as_slice());
-    let per_item_secs = item_t.elapsed().as_secs_f64();
-    let mut total = ExactVec::zeros(train.len());
-    let merge_t = Instant::now();
-    total.merge(&probe);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    let model = crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    };
-    let force = crate::schedule::forced();
-    let plan = crate::schedule::plan_fanout(&model, n_test, threads, force.as_ref());
-    let sums = crate::sharding::exact_sums_over_sized(
-        train.len(),
-        0..n_test,
-        plan.threads,
-        plan.block_items,
-        |j, acc| {
-            let per_test = truncated_class_shapley_single(train, test.x.row(j), test.y[j], k, eps);
-            acc.add_dense(per_test.as_slice());
-        },
-    );
-    crate::sharding::finalize_mean(&sums, n_test as u64)
-}
-
-/// The Theorem 2 fold behind [`crate::estimator`]'s truncated partials:
-/// exact sums of the per-test truncated vectors of test points `range`,
-/// each over its `K*` nearest neighbors from `source` (a graph's ranking
-/// prefix `[..K*]` is exactly what [`partial_k_nearest`] retrieves).
+/// The one Theorem 2 fold — unsharded on either schedule of `workers`, and
+/// behind [`crate::estimator`]'s truncated partials: exact sums of the
+/// per-test truncated vectors of test points `range`, each over its `K*`
+/// nearest neighbors from `source` (a graph's ranking prefix `[..K*]` is
+/// exactly what [`partial_k_nearest`] retrieves).
 ///
 /// ### Determinism contract
 ///
@@ -227,10 +186,11 @@ pub(crate) fn truncated_class_shapley_shard(
     eps: f64,
     source: Source<'_>,
     range: std::ops::Range<usize>,
-    threads: usize,
+    workers: Workers,
 ) -> ExactVec {
     let ks = k_star(k, eps);
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
+    let Workers { threads, schedule } = workers;
+    crate::sharding::exact_sums_over(train.len(), range, threads, schedule, |j, acc| {
         let nearest = source.nearest(&train.x, &test.x, j, ks);
         let per_test = truncated_recursion(&nearest, &train.y, test.y[j], k, ks, train.len());
         acc.add_dense(per_test.as_slice());

@@ -83,7 +83,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Reject impossible jobs before any dataset is read: the partition
-    /// counts here, the estimator's own rules in `Estimator::check`.
+    /// counts here, the estimator's own rules (parameters and
+    /// shardability) in `Estimator::check_shardable`.
     pub fn validate(&self) -> Result<(), JobError> {
         if self.shards == 0 {
             return Err(JobError::Spec("need at least 1 shard".into()));
@@ -93,7 +94,7 @@ impl JobSpec {
                 "need at least 1 checkpoint chunk per shard".into(),
             ));
         }
-        Ok(self.estimator.check()?)
+        Ok(self.estimator.check_shardable()?)
     }
 }
 
@@ -355,6 +356,7 @@ pub fn absolutize(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knnshap_core::mc::StoppingRule;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -364,7 +366,9 @@ mod tests {
                 task: Task::Class,
                 k: 3,
                 weight: WeightFn::InverseDistance { eps: 1e-3 },
-                family: Family::McImproved { perms: 500 },
+                family: Family::McImproved {
+                    rule: StoppingRule::Fixed(500),
+                },
                 seed: 9,
             },
             shards: 4,
@@ -418,7 +422,9 @@ mod tests {
         assert!(s.validate().is_ok(), "reg + exact uniform");
 
         let mut s = spec();
-        s.estimator.family = Family::McBaseline { perms: 0 };
+        s.estimator.family = Family::McBaseline {
+            rule: StoppingRule::Fixed(0),
+        };
         let err = s.validate().unwrap_err();
         assert!(err.to_string().contains("--perms"), "{err}");
 
@@ -436,6 +442,23 @@ mod tests {
         let mut s = spec();
         s.checkpoint_chunks = 0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_refuses_out_of_range_parameters() {
+        // Each of these plans would make every worker panic, so the spec
+        // is refused before a job directory exists.
+        for eps in [0.0, -1.0, f64::NAN] {
+            let mut s = spec();
+            s.estimator.weight = WeightFn::Uniform;
+            s.estimator.family = Family::Truncated { eps };
+            let err = s.validate().unwrap_err();
+            assert!(err.to_string().contains("eps must be positive"), "{err}");
+        }
+        let mut s = spec();
+        s.estimator.weight = WeightFn::InverseDistance { eps: f32::NAN };
+        let err = s.validate().unwrap_err();
+        assert!(err.to_string().contains("must be finite"), "{err}");
     }
 
     #[test]

@@ -131,11 +131,21 @@ fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
         ),
         (
             "mc-baseline",
-            class(Family::McBaseline { perms: PERMS }, WeightFn::Uniform),
+            class(
+                Family::McBaseline {
+                    rule: StoppingRule::Fixed(PERMS),
+                },
+                WeightFn::Uniform,
+            ),
         ),
         (
             "mc-improved",
-            class(Family::McImproved { perms: PERMS }, WEIGHT),
+            class(
+                Family::McImproved {
+                    rule: StoppingRule::Fixed(PERMS),
+                },
+                WEIGHT,
+            ),
         ),
         (
             "group-testing",
@@ -175,25 +185,13 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
                         &train, &test, e.k, eps, threads,
                     )
                 }
-                Family::McBaseline { perms } => {
+                Family::McBaseline { rule } => {
                     let u = KnnClassUtility::new(&train, &test, e.k, e.weight);
-                    knnshap_core::mc::mc_shapley_baseline(
-                        &u,
-                        StoppingRule::Fixed(perms),
-                        e.seed,
-                        None,
-                    )
-                    .values
+                    knnshap_core::mc::mc_shapley_baseline(&u, rule, e.seed, None).values
                 }
-                Family::McImproved { perms } => {
+                Family::McImproved { rule } => {
                     let mut u = IncKnnUtility::classification(&train, &test, e.k, e.weight);
-                    knnshap_core::mc::mc_shapley_improved(
-                        &mut u,
-                        StoppingRule::Fixed(perms),
-                        e.seed,
-                        None,
-                    )
-                    .values
+                    knnshap_core::mc::mc_shapley_improved(&mut u, rule, e.seed, None).values
                 }
                 Family::GroupTesting { tests } => {
                     let u = KnnClassUtility::new(&train, &test, e.k, e.weight);
@@ -375,7 +373,9 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
     let spec = class_spec(
         t.clone(),
         q.clone(),
-        Family::McImproved { perms: PERMS },
+        Family::McImproved {
+            rule: StoppingRule::Fixed(PERMS),
+        },
         2,
         2,
     );
@@ -515,7 +515,7 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
 }
 
 /// A dataset with a non-finite feature is refused at plan time with the
-/// pipeline's message — never accepted, so no worker ever respawns into a
+/// unsharded run's message — never accepted, so no worker ever respawns into a
 /// panic on it.
 #[test]
 fn plan_job_refuses_non_finite_features() {
@@ -532,7 +532,9 @@ fn plan_job_refuses_non_finite_features() {
     for family in [
         Family::Exact,
         Family::Truncated { eps: 0.2 },
-        Family::McImproved { perms: PERMS },
+        Family::McImproved {
+            rule: StoppingRule::Fixed(PERMS),
+        },
     ] {
         let err = plan_job(&class_spec(t.clone(), q.clone(), family, 2, 1)).unwrap_err();
         assert!(matches!(err, JobError::Dataset(_)), "{err}");

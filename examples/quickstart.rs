@@ -1,4 +1,4 @@
-//! Quickstart: value a training set for a KNN classifier in four lines.
+//! Quickstart: value a training set for a KNN classifier in a few lines.
 //!
 //! Generates a synthetic 3-class embedding, computes exact Shapley values
 //! (Theorem 1 of Jia et al. 2019) for every training point with respect to a
@@ -10,7 +10,7 @@
 use knnshap::datasets::synth::blobs::{self, BlobConfig};
 use knnshap::valuation::axioms::check_efficiency;
 use knnshap::valuation::utility::{KnnClassUtility, Utility};
-use knnshap::valuation::{KnnShapley, Method};
+use knnshap::valuation::{Data, Estimator, Family, Schedule, Source, Task};
 
 fn main() {
     // 1. A dataset: 2000 points in 16-d, 4 classes, plus 50 test queries.
@@ -25,13 +25,26 @@ fn main() {
     let train = blobs::generate(&cfg);
     let test = blobs::queries(&cfg, 50, 99);
 
-    // 2. Exact Shapley values, K = 5, all cores.
+    // 2. Exact Shapley values, K = 5, all cores: one estimator (task,
+    //    family and parameters), run over the datasets with a fresh distance
+    //    pass.
     let k = 5;
-    let sv = KnnShapley::new(&train, &test)
-        .k(k)
-        .method(Method::Exact)
-        .run()
-        .expect("valid configuration");
+    let threads = knnshap::parallel::current_threads();
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
+    let exact = Estimator {
+        task: Task::Class,
+        k,
+        weight: knnshap::knn::WeightFn::Uniform,
+        family: Family::Exact,
+        seed: 0,
+    };
+    let sv = exact
+        .run(data, Source::Brute, threads, Schedule::Static)
+        .expect("valid configuration")
+        .values;
 
     // 3. The values are a genuine Shapley allocation: they sum to the KNN
     //    utility of the full training set (group rationality).
@@ -56,11 +69,14 @@ fn main() {
 
     // 5. Same valuation, sublinear: the Theorem 2 truncated approximation
     //    touches only the K* = max(K, 1/ε) nearest neighbors per query.
-    let approx = KnnShapley::new(&train, &test)
-        .k(k)
-        .method(Method::Truncated { eps: 0.05 })
-        .run()
-        .expect("valid configuration");
+    let truncated = Estimator {
+        family: Family::Truncated { eps: 0.05 },
+        ..exact
+    };
+    let approx = truncated
+        .run(data, Source::Brute, threads, Schedule::Static)
+        .expect("valid configuration")
+        .values;
     println!(
         "\ntruncated (ε = 0.05) max deviation from exact: {:.6} (guaranteed ≤ 0.05)",
         sv.max_abs_diff(&approx)

@@ -9,9 +9,12 @@
 //! Hoeffding/Bennett sample bounds.
 //!
 //! This crate is a facade: it re-exports the workspace member crates under
-//! stable module names. Start with [`valuation::KnnShapley`] (classification)
-//! or [`valuation::RegShapley`] (regression), or the `examples/quickstart.rs`
-//! walkthrough. Streams of test points fold into a running valuation via
+//! stable module names. Start with [`valuation::Estimator`] — task, family
+//! (the paper's §6.2 decision guide: exact, truncated, Monte Carlo, group
+//! testing) and parameters as one value, whose
+//! [`run`](valuation::Estimator::run) values a classification or
+//! regression test set — or the `examples/quickstart.rs` walkthrough. LSH
+//! retrieval runs through `valuation::lsh_approx::lsh_class_shapley_planned`. Streams of test points fold into a running valuation via
 //! `valuation::streaming::OnlineValuator`; the §7 marketplace analyses
 //! (payouts, audits, per-class summaries) live in `valuation::analysis`; a
 //! scriptable front end ships as the `knnshap` binary in `crates/cli`. Jobs

@@ -1,7 +1,7 @@
 //! Differential battery for graph-backed valuation: every estimator family
 //! that accepts a precomputed `KNNGRAPH` artifact (`Source::Graph`) must
 //! reproduce its brute-force sibling **bit for bit** — unsharded (through
-//! the pipeline), across {1, 2, 7} shards, at {1, 8} threads per shard, and
+//! `Estimator::run`, on both schedules), across {1, 2, 7} shards, at {1, 8} threads per shard, and
 //! with the graph round-tripped through the wire format before use (what
 //! ships on disk is what computes). Graph-backed and brute-force shards of
 //! every kind inter-merge.
@@ -24,8 +24,8 @@ use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
     mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::pipeline::{KnnShapley, Method, RegMethod, RegShapley};
 use knnshap::valuation::resident::ResidentValuator;
+use knnshap::valuation::schedule::Schedule;
 use knnshap::valuation::sharding::{merge_partials, ShardSpec};
 use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
 use knnshap::valuation::utility::KnnClassUtility;
@@ -51,28 +51,26 @@ fn class<'a>(train: &'a ClassDataset, test: &'a ClassDataset) -> Data<'a> {
     Data::Class { train, test }
 }
 
-/// The graph-backed unsharded run of a classification `method` through the
-/// pipeline, at every per-shard thread count, against `reference`.
-fn check_pipeline(
+/// The graph-backed unsharded run of `est` over `data`, at every per-shard
+/// thread count and on both schedules, against `reference`.
+fn check_run(
     reference: &knnshap::valuation::ShapleyValues,
     what: &str,
-    (train, test, graph): (&ClassDataset, &ClassDataset, &KnnGraph),
-    (k, weight, method): (usize, WeightFn, Method),
+    est: &Estimator,
+    data: Data<'_>,
+    graph: &KnnGraph,
 ) {
     for threads in SHARD_THREADS {
-        let via_graph = KnnShapley::new(train, test)
-            .k(k)
-            .weight(weight)
-            .method(method)
-            .threads(threads)
-            .graph(graph)
-            .run()
-            .expect("graph-backed run");
-        assert_bitwise(
-            reference,
-            &via_graph,
-            &format!("{what} via graph, threads={threads}"),
-        );
+        for schedule in [Schedule::Static, Schedule::Measured] {
+            let via_graph = est
+                .run(data, Source::Graph(graph), threads, schedule)
+                .expect("graph-backed run");
+            assert_bitwise(
+                reference,
+                &via_graph.values,
+                &format!("{what} via graph, threads={threads} {schedule:?}"),
+            );
+        }
     }
 }
 
@@ -82,13 +80,9 @@ fn exact_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     for k in [1usize, 3] {
         let reference = knn_class_shapley_with_threads(&train, &test, k, 1);
-        check_pipeline(
-            &reference,
-            &format!("exact class k={k}"),
-            (&train, &test, &graph),
-            (k, WeightFn::Uniform, Method::Exact),
-        );
         let est = class_estimator(Family::Exact, k, WeightFn::Uniform, 0);
+        let what = format!("exact class k={k}");
+        check_run(&reference, &what, &est, class(&train, &test), &graph);
         check_sharded(
             &reference,
             &format!("exact class k={k}"),
@@ -104,19 +98,6 @@ fn exact_regression_graph_shards_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x72), 70, 23);
     let graph = wire_graph(&train.x, &test.x);
     let reference = knn_reg_shapley_with_threads(&train, &test, 3, 1);
-    for threads in SHARD_THREADS {
-        let via_graph = RegShapley::new(&train, &test)
-            .k(3)
-            .threads(threads)
-            .graph(&graph)
-            .run()
-            .unwrap();
-        assert_bitwise(
-            &reference,
-            &via_graph,
-            &format!("exact reg via graph threads={threads}"),
-        );
-    }
     let est = Estimator {
         task: Task::Reg,
         ..class_estimator(Family::Exact, 3, WeightFn::Uniform, 0)
@@ -125,6 +106,7 @@ fn exact_regression_graph_shards_bitwise() {
         train: &train,
         test: &test,
     };
+    check_run(&reference, "exact reg", &est, data, &graph);
     check_sharded(&reference, "exact reg", &est, data, Source::Graph(&graph));
 }
 
@@ -134,13 +116,14 @@ fn weighted_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let reference = weighted_knn_class_shapley(&train, &test, 2, weight, 1);
-    check_pipeline(
+    let est = class_estimator(Family::Exact, 2, weight, 0);
+    check_run(
         &reference,
         "weighted class",
-        (&train, &test, &graph),
-        (2, weight, Method::Exact),
+        &est,
+        class(&train, &test),
+        &graph,
     );
-    let est = class_estimator(Family::Exact, 2, weight, 0);
     check_sharded(
         &reference,
         "weighted class",
@@ -163,6 +146,15 @@ fn weighted_regression_graph_bitwise() {
             &format!("weighted reg via graph threads={threads}"),
         );
     }
+    let est = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::Exact, 2, weight, 0)
+    };
+    let data = Data::Reg {
+        train: &train,
+        test: &test,
+    };
+    check_run(&reference, "weighted reg", &est, data, &graph);
 }
 
 /// A graph of the right shape built from other features must be refused by
@@ -194,14 +186,8 @@ fn truncated_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x75), 90, 17, 3);
     let graph = wire_graph(&train.x, &test.x);
     let reference = truncated_class_shapley_with_threads(&train, &test, 2, 0.15, 1);
-    let method = Method::Truncated { eps: 0.15 };
-    check_pipeline(
-        &reference,
-        "truncated",
-        (&train, &test, &graph),
-        (2, WeightFn::Uniform, method),
-    );
     let est = class_estimator(Family::Truncated { eps: 0.15 }, 2, WeightFn::Uniform, 0);
+    check_run(&reference, "truncated", &est, class(&train, &test), &graph);
     check_sharded(
         &reference,
         "truncated",
@@ -217,7 +203,14 @@ fn mc_baseline_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let brute = KnnClassUtility::unweighted(&train, &test, 2);
     let reference = mc_shapley_baseline_with_threads(&brute, StoppingRule::Fixed(100), 7, None, 1);
-    let est = class_estimator(Family::McBaseline { perms: 100 }, 2, WeightFn::Uniform, 7);
+    let est = class_estimator(
+        Family::McBaseline {
+            rule: StoppingRule::Fixed(100),
+        },
+        2,
+        WeightFn::Uniform,
+        7,
+    );
     // Same identity either way: MC shards built on either source inter-merge.
     let data = class(&train, &test);
     assert_eq!(
@@ -239,7 +232,14 @@ fn mc_improved_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
     let reference = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(100), 11, None, 1);
-    let est = class_estimator(Family::McImproved { perms: 100 }, 3, WeightFn::Uniform, 11);
+    let est = class_estimator(
+        Family::McImproved {
+            rule: StoppingRule::Fixed(100),
+        },
+        3,
+        WeightFn::Uniform,
+        11,
+    );
     check_sharded(
         &reference.values,
         "mc improved",
@@ -255,17 +255,22 @@ fn mc_improved_regression_graph_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::regression(&train, &test, 2, WeightFn::Uniform);
     let a = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(60), 5, None, 1);
-    let b = RegShapley::new(&train, &test)
-        .k(2)
-        .method(RegMethod::McImproved {
-            rule: StoppingRule::Fixed(60),
-            seed: 5,
-        })
-        .threads(8)
-        .graph(&graph)
-        .run()
-        .unwrap();
-    assert_bitwise(&a.values, &b, "mc improved regression via graph");
+    let est = Estimator {
+        task: Task::Reg,
+        ..class_estimator(
+            Family::McImproved {
+                rule: StoppingRule::Fixed(60),
+            },
+            2,
+            WeightFn::Uniform,
+            5,
+        )
+    };
+    let data = Data::Reg {
+        train: &train,
+        test: &test,
+    };
+    check_run(&a.values, "mc improved regression", &est, data, &graph);
 }
 
 #[test]
@@ -313,8 +318,22 @@ fn graph_and_brute_force_shards_inter_merge() {
         class_estimator(Family::Exact, 2, uniform, 0),
         class_estimator(Family::Exact, 2, WeightFn::InverseDistance { eps: 1e-3 }, 0),
         class_estimator(Family::Truncated { eps: 0.2 }, 2, uniform, 0),
-        class_estimator(Family::McBaseline { perms: 9 }, 2, uniform, 3),
-        class_estimator(Family::McImproved { perms: 30 }, 2, uniform, 3),
+        class_estimator(
+            Family::McBaseline {
+                rule: StoppingRule::Fixed(9),
+            },
+            2,
+            uniform,
+            3,
+        ),
+        class_estimator(
+            Family::McImproved {
+                rule: StoppingRule::Fixed(30),
+            },
+            2,
+            uniform,
+            3,
+        ),
         class_estimator(Family::GroupTesting { tests: 90 }, 2, uniform, 3),
     ];
     let jobs = class_jobs
@@ -400,12 +419,9 @@ fn all_duplicate_distances_graph_bitwise() {
     );
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let wref = weighted_knn_class_shapley(&train, &test, 3, weight, 1);
-    check_pipeline(
-        &wref,
-        "all-duplicate weighted",
-        (&train, &test, &graph),
-        (3, weight, Method::Exact),
-    );
+    let west = class_estimator(Family::Exact, 3, weight, 0);
+    let data = class(&train, &test);
+    check_run(&wref, "all-duplicate weighted", &west, data, &graph);
 }
 
 // ---------------------------------------------------------------------------

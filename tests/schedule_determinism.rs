@@ -6,11 +6,15 @@
 //! schedules pinned through the `KNNSHAP_SCHED_FORCE` test hook.
 //!
 //! Three layers:
-//! * adaptive vs static, per family (baseline MC, improved MC class + reg,
-//!   group testing, truncated), at 1/2/8 threads, covering both scheduling
-//!   shapes (fixed budget → fan-out; heuristic/snapshots → rounds);
+//! * measured vs static, per family (baseline MC, improved MC class + reg,
+//!   group testing, truncated), at 1/2/8 threads, through the front door
+//!   (`Estimator::run` with `Schedule::Measured`) — plus the snapshot path,
+//!   which only the utility-level `mc_shapley_improved_with_threads` exposes
+//!   (`Workers::measured`) — covering both scheduling shapes (fixed budget →
+//!   fan-out; heuristic/snapshots → rounds);
 //! * forced pathological tilings (serial, one-permutation chunks, absurd
-//!   block sizes, garbage strings) against the same static goldens;
+//!   block sizes, garbage strings) against the same static goldens, with
+//!   truncated also over graph rankings;
 //! * snapshot trajectories, not just final vectors — the round path's
 //!   per-permutation bookkeeping must replay identically however the
 //!   scheduler slices the rounds.
@@ -19,24 +23,22 @@
 //! of this binary concurrently, so every test here serializes on `ENV_LOCK`
 //! (the unforced tests too — they must observe an *unset* variable).
 
+use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
-use knnshap::valuation::group_testing::{
-    group_testing_shapley_adaptive, group_testing_shapley_with_threads,
-};
+use knnshap::valuation::estimator::{Data, Estimator, Family, Source, Task, Valuation};
+use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_shapley_baseline_adaptive, mc_shapley_baseline_with_threads, mc_shapley_improved_adaptive,
-    mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
+    mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_adaptive, truncated_class_shapley_with_threads,
-};
+use knnshap::valuation::schedule::{Schedule, Workers};
+use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
 use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, class_estimator, random_class, random_reg};
 
 /// Serializes every test in this binary around the process-global
 /// `KNNSHAP_SCHED_FORCE` variable. Poisoning is ignored: a failed sibling
@@ -68,10 +70,20 @@ const FORCES: [&str; 6] = [
     "garbage,threads=banana,block=",
 ];
 
+/// `est` over `data` on the measured schedule.
+fn measured(est: Estimator, data: Data<'_>, source: Source<'_>, threads: usize) -> Valuation {
+    est.run(data, source, threads, Schedule::Measured)
+        .expect("measured run")
+}
+
 #[test]
 fn adaptive_baseline_bitwise_matches_static() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(7), 60, 4, 3);
     let u = KnnClassUtility::unweighted(&train, &test, 3);
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
     for rule in [
         StoppingRule::Fixed(200),
         StoppingRule::Heuristic {
@@ -80,11 +92,14 @@ fn adaptive_baseline_bitwise_matches_static() {
         },
     ] {
         let golden = mc_shapley_baseline_with_threads(&u, rule, 7, None, 1);
+        let est = class_estimator(Family::McBaseline { rule }, 3, WeightFn::Uniform, 7);
         for threads in THREADS {
-            let adaptive = with_force(None, || {
-                mc_shapley_baseline_adaptive(&u, rule, 7, None, threads)
-            });
-            assert_eq!(golden.permutations, adaptive.permutations, "t={threads}");
+            let adaptive = with_force(None, || measured(est, data, Source::Brute, threads));
+            assert_eq!(
+                Some(golden.permutations),
+                adaptive.permutations,
+                "t={threads}"
+            );
             assert_bitwise(
                 &golden.values,
                 &adaptive.values,
@@ -98,6 +113,10 @@ fn adaptive_baseline_bitwise_matches_static() {
 fn adaptive_improved_bitwise_matches_static_with_snapshots() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(3), 120, 6, 3);
     let inc = IncKnnUtility::classification(&train, &test, 5, WeightFn::Uniform);
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
     for (rule, snapshot_every) in [
         (StoppingRule::Fixed(300), None),
         (StoppingRule::Fixed(120), Some(25)),
@@ -112,7 +131,13 @@ fn adaptive_improved_bitwise_matches_static_with_snapshots() {
         let golden = mc_shapley_improved_with_threads(&inc, rule, 3, snapshot_every, 1);
         for threads in THREADS {
             let adaptive = with_force(None, || {
-                mc_shapley_improved_adaptive(&inc, rule, 3, snapshot_every, threads)
+                mc_shapley_improved_with_threads(
+                    &inc,
+                    rule,
+                    3,
+                    snapshot_every,
+                    Workers::measured(threads),
+                )
             });
             assert_eq!(golden.permutations, adaptive.permutations, "t={threads}");
             assert_bitwise(
@@ -125,6 +150,12 @@ fn adaptive_improved_bitwise_matches_static_with_snapshots() {
                 assert_eq!(ta, tb);
                 assert_bitwise(va, vb, &format!("snapshot t={ta} threads={threads}"));
             }
+            if snapshot_every.is_none() {
+                let est = class_estimator(Family::McImproved { rule }, 5, WeightFn::Uniform, 3);
+                let run = with_force(None, || measured(est, data, Source::Brute, threads));
+                assert_eq!(Some(golden.permutations), run.permutations);
+                assert_bitwise(&golden.values, &run.values, &format!("run t={threads}"));
+            }
         }
     }
 }
@@ -133,11 +164,18 @@ fn adaptive_improved_bitwise_matches_static_with_snapshots() {
 fn adaptive_improved_reg_bitwise_matches_static() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(17), 100, 5);
     let inc = IncKnnUtility::regression(&train, &test, 3, WeightFn::Uniform);
-    let golden = mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(200), 11, None, 1);
+    let rule = StoppingRule::Fixed(200);
+    let golden = mc_shapley_improved_with_threads(&inc, rule, 11, None, 1);
+    let est = Estimator {
+        task: Task::Reg,
+        ..class_estimator(Family::McImproved { rule }, 3, WeightFn::Uniform, 11)
+    };
+    let data = Data::Reg {
+        train: &train,
+        test: &test,
+    };
     for threads in THREADS {
-        let adaptive = with_force(None, || {
-            mc_shapley_improved_adaptive(&inc, StoppingRule::Fixed(200), 11, None, threads)
-        });
+        let adaptive = with_force(None, || measured(est, data, Source::Brute, threads));
         assert_bitwise(
             &golden.values,
             &adaptive.values,
@@ -151,11 +189,14 @@ fn adaptive_group_testing_bitwise_matches_static() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(5), 40, 6, 2);
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let golden = group_testing_shapley_with_threads(&u, 3_000, 21, 1);
+    let family = Family::GroupTesting { tests: 3_000 };
+    let est = class_estimator(family, 2, WeightFn::Uniform, 21);
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
     for threads in THREADS {
-        let adaptive = with_force(None, || {
-            group_testing_shapley_adaptive(&u, 3_000, 21, threads)
-        });
-        assert_eq!(golden.tests, adaptive.tests);
+        let adaptive = with_force(None, || measured(est, data, Source::Brute, threads));
         assert_bitwise(
             &golden.values,
             &adaptive.values,
@@ -168,13 +209,16 @@ fn adaptive_group_testing_bitwise_matches_static() {
 fn adaptive_truncated_bitwise_matches_static() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(29), 150, 200, 3);
     let golden = truncated_class_shapley_with_threads(&train, &test, 3, 0.1, 1);
+    let est = class_estimator(Family::Truncated { eps: 0.1 }, 3, WeightFn::Uniform, 0);
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
     for threads in THREADS {
-        let adaptive = with_force(None, || {
-            truncated_class_shapley_adaptive(&train, &test, 3, 0.1, threads)
-        });
+        let adaptive = with_force(None, || measured(est, data, Source::Brute, threads));
         assert_bitwise(
             &golden,
-            &adaptive,
+            &adaptive.values,
             &format!("truncated adaptive t={threads}"),
         );
     }
@@ -188,13 +232,24 @@ fn forced_schedules_never_move_a_bit() {
     let (ctrain, ctest) = random_class(&mut StdRng::seed_from_u64(2027), 70, 5, 3);
     let u = KnnClassUtility::unweighted(&ctrain, &ctest, 3);
     let inc = IncKnnUtility::classification(&ctrain, &ctest, 3, WeightFn::Uniform);
+    let graph = KnnGraph::build(&ctrain.x, &ctest.x, 2);
+    let data = Data::Class {
+        train: &ctrain,
+        test: &ctest,
+    };
+    let fixed = StoppingRule::Fixed(90);
     let heuristic = StoppingRule::Heuristic {
         threshold: 1e-4,
         max: 300,
     };
+    let uniform = WeightFn::Uniform;
+    let baseline = class_estimator(Family::McBaseline { rule: fixed }, 3, uniform, 13);
+    let improved = class_estimator(Family::McImproved { rule: fixed }, 3, uniform, 13);
+    let gt = class_estimator(Family::GroupTesting { tests: 1_500 }, 3, uniform, 13);
+    let truncated = class_estimator(Family::Truncated { eps: 0.1 }, 3, uniform, 0);
 
-    let g_base = mc_shapley_baseline_with_threads(&u, StoppingRule::Fixed(90), 13, None, 1);
-    let g_imp_fan = mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(90), 13, None, 1);
+    let g_base = mc_shapley_baseline_with_threads(&u, fixed, 13, None, 1);
+    let g_imp_fan = mc_shapley_improved_with_threads(&inc, fixed, 13, None, 1);
     let g_imp_rounds = mc_shapley_improved_with_threads(&inc, heuristic, 13, Some(20), 1);
     let g_gt = group_testing_shapley_with_threads(&u, 1_500, 13, 1);
     let g_trunc = truncated_class_shapley_with_threads(&ctrain, &ctest, 3, 0.1, 1);
@@ -202,10 +257,10 @@ fn forced_schedules_never_move_a_bit() {
     for force in FORCES {
         for threads in [2usize, 8] {
             with_force(Some(force), || {
-                let base =
-                    mc_shapley_baseline_adaptive(&u, StoppingRule::Fixed(90), 13, None, threads);
+                let base = measured(baseline, data, Source::Brute, threads);
                 assert_eq!(
-                    g_base.permutations, base.permutations,
+                    Some(g_base.permutations),
+                    base.permutations,
                     "{force} t={threads}"
                 );
                 assert_bitwise(
@@ -214,15 +269,20 @@ fn forced_schedules_never_move_a_bit() {
                     &format!("baseline forced '{force}' t={threads}"),
                 );
 
-                let fan =
-                    mc_shapley_improved_adaptive(&inc, StoppingRule::Fixed(90), 13, None, threads);
+                let fan = measured(improved, data, Source::Brute, threads);
                 assert_bitwise(
                     &g_imp_fan.values,
                     &fan.values,
                     &format!("improved fan-out forced '{force}' t={threads}"),
                 );
 
-                let rounds = mc_shapley_improved_adaptive(&inc, heuristic, 13, Some(20), threads);
+                let rounds = mc_shapley_improved_with_threads(
+                    &inc,
+                    heuristic,
+                    13,
+                    Some(20),
+                    Workers::measured(threads),
+                );
                 assert_eq!(g_imp_rounds.permutations, rounds.permutations, "{force}");
                 assert_bitwise(
                     &g_imp_rounds.values,
@@ -235,19 +295,30 @@ fn forced_schedules_never_move_a_bit() {
                     assert_bitwise(va, vb, &format!("snapshot t={ta} forced '{force}'"));
                 }
 
-                let gt = group_testing_shapley_adaptive(&u, 1_500, 13, threads);
-                assert_eq!(g_gt.tests, gt.tests);
+                let gt = measured(gt, data, Source::Brute, threads);
                 assert_bitwise(
                     &g_gt.values,
                     &gt.values,
                     &format!("group testing forced '{force}' t={threads}"),
                 );
 
-                let trunc = truncated_class_shapley_adaptive(&ctrain, &ctest, 3, 0.1, threads);
+                let trunc = measured(truncated, data, Source::Brute, threads);
                 assert_bitwise(
                     &g_trunc,
-                    &trunc,
+                    &trunc.values,
                     &format!("truncated forced '{force}' t={threads}"),
+                );
+            });
+        }
+        // The measured plan over graph rankings: the same tilings, at both
+        // thread extremes.
+        for threads in [1usize, 8] {
+            with_force(Some(force), || {
+                let trunc = measured(truncated, data, Source::Graph(&graph), threads);
+                assert_bitwise(
+                    &g_trunc,
+                    &trunc.values,
+                    &format!("truncated via graph forced '{force}' t={threads}"),
                 );
             });
         }
@@ -256,15 +327,19 @@ fn forced_schedules_never_move_a_bit() {
 
 #[test]
 fn adaptive_zero_budget_matches_static_empty_run() {
-    // Degenerate budget: no permutations at all. The adaptive entry points
-    // must not even attempt a measurement (there is nothing to measure on)
-    // and must return the same all-zero vector as the static path.
+    // Degenerate budget: no permutations at all. The measured schedule must
+    // not even attempt a measurement (there is nothing to measure on) and
+    // must return the same all-zero vector as the static path.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(1), 12, 2, 2);
     let inc = IncKnnUtility::classification(&train, &test, 2, WeightFn::Uniform);
-    let golden = mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(0), 9, None, 1);
-    let adaptive = with_force(None, || {
-        mc_shapley_improved_adaptive(&inc, StoppingRule::Fixed(0), 9, None, 8)
-    });
-    assert_eq!(golden.permutations, adaptive.permutations);
+    let rule = StoppingRule::Fixed(0);
+    let golden = mc_shapley_improved_with_threads(&inc, rule, 9, None, 1);
+    let est = class_estimator(Family::McImproved { rule }, 2, WeightFn::Uniform, 9);
+    let data = Data::Class {
+        train: &train,
+        test: &test,
+    };
+    let adaptive = with_force(None, || measured(est, data, Source::Brute, 8));
+    assert_eq!(Some(golden.permutations), adaptive.permutations);
     assert_bitwise(&golden.values, &adaptive.values, "zero budget");
 }

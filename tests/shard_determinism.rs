@@ -111,7 +111,14 @@ fn mc_baseline_shards_bitwise() {
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let reference =
         mc_shapley_baseline_with_threads(&u, StoppingRule::Fixed(100), 7, None, 1).values;
-    let est = class_estimator(Family::McBaseline { perms: 100 }, 2, WeightFn::Uniform, 7);
+    let est = class_estimator(
+        Family::McBaseline {
+            rule: StoppingRule::Fixed(100),
+        },
+        2,
+        WeightFn::Uniform,
+        7,
+    );
     check_sharded(
         &reference,
         "mc baseline",
@@ -127,7 +134,14 @@ fn mc_improved_shards_bitwise() {
     let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
     let reference =
         mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(100), 11, None, 1).values;
-    let est = class_estimator(Family::McImproved { perms: 100 }, 3, WeightFn::Uniform, 11);
+    let est = class_estimator(
+        Family::McImproved {
+            rule: StoppingRule::Fixed(100),
+        },
+        3,
+        WeightFn::Uniform,
+        11,
+    );
     check_sharded(
         &reference,
         "mc improved",
@@ -211,7 +225,9 @@ fn shard_files_match_golden_fixtures() {
         (
             "mc_improved_1of2.knnshard",
             of(class_estimator(
-                Family::McImproved { perms: 64 },
+                Family::McImproved {
+                    rule: StoppingRule::Fixed(64),
+                },
                 3,
                 uniform,
                 11,
@@ -238,7 +254,9 @@ fn shard_files_match_golden_fixtures() {
         (
             "mc_baseline_1of2.knnshard",
             of(class_estimator(
-                Family::McBaseline { perms: 16 },
+                Family::McBaseline {
+                    rule: StoppingRule::Fixed(16),
+                },
                 3,
                 uniform,
                 11,
@@ -338,8 +356,16 @@ fn merge_rejects_version_mismatch() {
 #[test]
 fn merge_rejects_mixed_seeds_sizes_and_coverage_faults() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x39), 20, 4, 2);
-    let mc =
-        |perms, seed| class_estimator(Family::McBaseline { perms }, 2, WeightFn::Uniform, seed);
+    let mc = |perms, seed| {
+        class_estimator(
+            Family::McBaseline {
+                rule: StoppingRule::Fixed(perms),
+            },
+            2,
+            WeightFn::Uniform,
+            seed,
+        )
+    };
     let parts: Vec<ShardPartial> = (0..2)
         .map(|i| shard(&mc(40, 1), &train, &test, i, 2, 1))
         .collect();
